@@ -320,8 +320,12 @@ func (m *Manager) finishFrom(j *Job, from, state JobState, result []byte, err er
 	case StateCancelled:
 		m.mc.Add(metrics.ServerJobsCancelled, 1)
 	}
-	close(j.done)
+	// Evict before waking waiters: a client released by done must never
+	// list more than RetainJobs terminal jobs. The finishing job is the
+	// newest terminal one, so it survives any RetainJobs >= 1, and a
+	// waiter holds its *Job regardless.
 	m.evict()
+	close(j.done)
 }
 
 // jobTrace converts the job's recorded span tree into the ledger's

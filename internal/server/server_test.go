@@ -396,6 +396,33 @@ func TestRetention(t *testing.T) {
 	}
 }
 
+// TestRetentionBoundAtWake lists the registry the moment each ?wait=true
+// reply arrives: eviction must already have run when the waiter wakes, so
+// the list never holds more than RetainJobs terminal jobs, and the job
+// just answered is always among them.
+func TestRetentionBoundAtWake(t *testing.T) {
+	const retain = 2
+	_, ts := newTestServer(t, Config{Workers: 1, RetainJobs: retain})
+	for i := 0; i < 20; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs?wait=true", `{"kind":"eval","workload":"espresso"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d: %s: %s", i, resp.Status, body)
+		}
+		id := decodeStatus(t, body).ID
+		_, body = get(t, ts.URL+"/v1/jobs")
+		var list JobList
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		if want := min(i+1, retain); len(list.Jobs) != want {
+			t.Fatalf("after reply %d the list holds %d jobs, want %d", i, len(list.Jobs), want)
+		}
+		if last := list.Jobs[len(list.Jobs)-1].ID; last != id {
+			t.Fatalf("after reply %d the newest listed job is %s, want %s", i, last, id)
+		}
+	}
+}
+
 // TestCancelSubmitRace hammers the queued->running handoff: submitting
 // and immediately cancelling must never resurrect a finalized job or
 // close its done channel twice (which would panic the daemon), whichever

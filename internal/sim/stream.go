@@ -63,8 +63,8 @@ func (ls *liveStream) Drive(hs ...trace.Handler) error {
 	return nil
 }
 
-// ReplayBufferSize is the decode buffer of a trace replay: deep enough
-// that file reads happen in large, infrequent slabs while the decoder and
+// ReplayBufferSize is the decode window of a trace replay: deep enough
+// that store reads happen in large, infrequent slabs while the decoder and
 // the downstream handlers (the sharded profiler's fan-out in particular)
 // stay busy in between.
 const ReplayBufferSize = 1 << 20

@@ -40,7 +40,7 @@ func (tc TraceConfig) storeConfig(mc *metrics.Collector) store.Config {
 // by the shared content-addressed store: each input's stream is recorded
 // at most once per store directory — across goroutines via the store's
 // in-directory claim protocol, and across processes the same way — and
-// every later Open replays the compressed entry. Safe for concurrent use
+// every later Open replays the stored entry. Safe for concurrent use
 // by the parallel evaluation units.
 type TraceStore struct {
 	cfg TraceConfig
@@ -62,9 +62,14 @@ func NewTraceStore(cfg TraceConfig, w workload.Workload, mc *metrics.Collector) 
 // can never collide on a stale entry, and a generator bump invalidates
 // the whole cache at once.
 func (ts *TraceStore) Key(in workload.Input, opts Options) store.Key {
+	return ts.keyAt(TraceGenVersion, in, opts)
+}
+
+// keyAt is Key under an explicit generator version.
+func (ts *TraceStore) keyAt(gen int, in workload.Input, opts Options) store.Key {
 	return store.KeyOf(
 		ts.w.Name()+"_"+in.Label,
-		"gen", strconv.Itoa(TraceGenVersion),
+		"gen", strconv.Itoa(gen),
 		"workload", ts.w.Name(),
 		"input", in.Label,
 		"seed", strconv.FormatUint(in.Seed, 16),

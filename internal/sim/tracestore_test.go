@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -106,5 +108,38 @@ func TestTraceStoreRequireRecorded(t *testing.T) {
 		t.Fatal("replay-only Open succeeded on an empty store")
 	} else if !strings.Contains(err.Error(), "not recorded") {
 		t.Fatalf("unhelpful replay-only error: %v", err)
+	}
+}
+
+// TestTraceGenBumpOrphansOldEntries checks that entries recorded under the
+// previous generator version (version 1 wrote flate-compressed frames the
+// current reader rejects) are never addressed by a current key: they
+// stop being found and age out through the LRU.
+func TestTraceGenBumpOrphansOldEntries(t *testing.T) {
+	w, err := workload.Get("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ts := NewTraceStore(TraceConfig{Dir: dir, RequireRecorded: true}, w, nil)
+	in, opts := w.Train(), DefaultOptions()
+	old := ts.keyAt(TraceGenVersion-1, in, opts)
+	if old == ts.Key(in, opts) {
+		t.Fatalf("generator bump left the key unchanged: %s", old)
+	}
+	st := store.New(store.Config{Dir: dir})
+	rc, err := st.GetOrFill(old, func(w io.Writer) error {
+		_, err := w.Write([]byte("version 1 trace bytes"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Close()
+	if _, ok, err := st.Get(ts.Key(in, opts)); ok || err != nil {
+		t.Fatalf("current key addressed the version-%d entry (ok=%v, err=%v)", TraceGenVersion-1, ok, err)
+	}
+	if _, err := ts.Open(in, opts); err == nil || !strings.Contains(err.Error(), "not recorded") {
+		t.Fatalf("replay-only Open over a version-%d store: %v, want a not-recorded error", TraceGenVersion-1, err)
 	}
 }

@@ -12,4 +12,4 @@ package sim
 // emitter batching that reaches the wire, trace wire format, or XOR
 // naming. CI keys its cross-run trace cache on a hash of this file, so
 // a bump also rolls the actions/cache key.
-const TraceGenVersion = 1
+const TraceGenVersion = 2

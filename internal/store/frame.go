@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,54 +11,51 @@ import (
 )
 
 // The framing layer turns an artifact's byte stream into a sequence of
-// independently compressed, checksummed blocks:
+// checksummed blocks:
 //
-//	magic "ccdpfrm1"
-//	frame*: uvarint rawLen | uvarint compLen | crc32(raw) LE | compLen flate bytes
+//	magic "ccdpfrm2"
+//	frame*: uvarint rawLen | crc32(raw) LE | rawLen raw bytes
 //	end:    uvarint 0
 //
-// Frames are self-contained (each is its own flate stream), so a reader
-// decodes strictly sequentially — the access pattern trace replay wants —
-// and any corruption is caught at the frame where it happens: a bad
-// length, a short read, a flate error, or a checksum mismatch each surface
+// Payloads are stored as-is: the store is a local replay cache, read many
+// times per write, so a replay costs a read plus a checksum rather than an
+// inflate. A reader decodes strictly sequentially — the access pattern
+// trace replay wants — and any corruption is caught at the frame where it
+// happens: a bad length, a short read, or a checksum mismatch each surface
 // as an error, never as a panic or as silently wrong bytes downstream.
 
-var frameMagic = []byte("ccdpfrm1")
+var frameMagic = []byte("ccdpfrm2")
 
 const (
-	// DefaultBlockSize is the uncompressed frame payload target: big
-	// enough that flate amortizes, small enough that a corrupt frame
-	// loses little and decode buffers stay modest.
+	// DefaultBlockSize is the frame payload target: large enough that
+	// per-frame headers and reads amortize, small enough that a corrupt
+	// frame loses little and the reader's frame buffer stays modest.
 	DefaultBlockSize = 256 << 10
-	// maxFrameLen bounds both the raw and compressed lengths decoded
-	// from the wire; anything larger cannot come from a FrameWriter.
+	// maxFrameLen bounds the payload length decoded from the wire;
+	// anything larger cannot come from a FrameWriter.
 	maxFrameLen = 1 << 26
 )
 
-// FrameWriter compresses a byte stream into frames. Errors are sticky and
+// FrameWriter cuts a byte stream into frames. Errors are sticky and
 // surfaced by every subsequent call; Close writes the end marker.
 type FrameWriter struct {
 	w       io.Writer
 	block   int
 	buf     []byte
-	comp    bytes.Buffer
-	fl      *flate.Writer
 	n       int64
 	err     error
 	closed  bool
-	scratch [binary.MaxVarintLen64]byte
+	scratch [binary.MaxVarintLen64 + 4]byte
 }
 
 // NewFrameWriter writes the stream magic and returns a writer that cuts
-// frames of blockSize uncompressed bytes (<= 0 selects DefaultBlockSize).
+// frames of blockSize payload bytes (<= 0 selects DefaultBlockSize). The
+// writer buffers one block so it can checksum it ahead of the payload.
 func NewFrameWriter(w io.Writer, blockSize int) *FrameWriter {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
 	fw := &FrameWriter{w: w, block: blockSize}
-	// BestSpeed: the store is a cache in front of an expensive producer;
-	// cheap compression on the record path beats ratio.
-	fw.fl, _ = flate.NewWriter(&fw.comp, flate.BestSpeed)
 	fw.write(frameMagic)
 	return fw
 }
@@ -73,13 +69,8 @@ func (fw *FrameWriter) write(p []byte) {
 	fw.err = err
 }
 
-func (fw *FrameWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(fw.scratch[:], v)
-	fw.write(fw.scratch[:n])
-}
-
-// Write implements io.Writer, cutting a frame each time a full block of
-// uncompressed bytes accumulates.
+// Write implements io.Writer, cutting a frame each time a full block
+// accumulates.
 func (fw *FrameWriter) Write(p []byte) (int, error) {
 	if fw.closed {
 		return 0, errors.New("store: write on closed FrameWriter")
@@ -115,22 +106,10 @@ func (fw *FrameWriter) flushFrame(raw []byte) {
 	if fw.err != nil || len(raw) == 0 {
 		return
 	}
-	fw.comp.Reset()
-	fw.fl.Reset(&fw.comp)
-	if _, err := fw.fl.Write(raw); err != nil {
-		fw.err = err
-		return
-	}
-	if err := fw.fl.Close(); err != nil {
-		fw.err = err
-		return
-	}
-	fw.uvarint(uint64(len(raw)))
-	fw.uvarint(uint64(fw.comp.Len()))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(raw))
-	fw.write(crc[:])
-	fw.write(fw.comp.Bytes())
+	n := binary.PutUvarint(fw.scratch[:], uint64(len(raw)))
+	binary.LittleEndian.PutUint32(fw.scratch[n:], crc32.ChecksumIEEE(raw))
+	fw.write(fw.scratch[:n+4])
+	fw.write(raw)
 }
 
 // Close flushes the final partial frame and writes the end marker. It is
@@ -142,12 +121,12 @@ func (fw *FrameWriter) Close() error {
 	fw.closed = true
 	fw.flushFrame(fw.buf)
 	fw.buf = nil
-	fw.uvarint(0)
+	fw.write([]byte{0})
 	return fw.err
 }
 
-// BytesWritten returns the compressed (on-the-wire) byte count so far,
-// including magic and frame headers.
+// BytesWritten returns the on-the-wire byte count so far, including magic
+// and frame headers.
 func (fw *FrameWriter) BytesWritten() int64 { return fw.n }
 
 // noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a frame
@@ -160,13 +139,13 @@ func noEOF(err error) error {
 	return err
 }
 
-// FrameReader decodes a frame stream strictly sequentially. Any
-// malformed input — truncation, implausible lengths, flate errors,
-// checksum mismatches — returns an error; FrameReader never panics.
+// FrameReader decodes a frame stream strictly sequentially, reading each
+// payload straight into its frame buffer and verifying the checksum before
+// it delivers any byte. Any malformed input — truncation, implausible
+// lengths, checksum mismatches — returns an error; FrameReader never
+// panics.
 type FrameReader struct {
 	br    *bufio.Reader
-	fl    io.ReadCloser
-	comp  []byte
 	frame []byte
 	pos   int
 	done  bool
@@ -189,7 +168,7 @@ func NewFrameReader(r io.Reader) (*FrameReader, error) {
 	return &FrameReader{br: br}, nil
 }
 
-// Read implements io.Reader over the decompressed stream.
+// Read implements io.Reader over the payload stream.
 func (fr *FrameReader) Read(p []byte) (int, error) {
 	if fr.err != nil {
 		return 0, fr.err
@@ -208,7 +187,7 @@ func (fr *FrameReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// next decodes and verifies one frame (or the end marker).
+// next reads and verifies one frame (or the end marker).
 func (fr *FrameReader) next() error {
 	rawLen, err := binary.ReadUvarint(fr.br)
 	if err != nil {
@@ -219,39 +198,19 @@ func (fr *FrameReader) next() error {
 		fr.frame, fr.pos = nil, 0
 		return nil
 	}
-	compLen, err := binary.ReadUvarint(fr.br)
-	if err != nil {
-		return fmt.Errorf("store: reading frame length: %w", noEOF(err))
-	}
-	if rawLen > maxFrameLen || compLen > maxFrameLen {
-		return fmt.Errorf("store: implausible frame lengths raw=%d comp=%d", rawLen, compLen)
+	if rawLen > maxFrameLen {
+		return fmt.Errorf("store: implausible frame length %d", rawLen)
 	}
 	var crcb [4]byte
 	if _, err := io.ReadFull(fr.br, crcb[:]); err != nil {
 		return fmt.Errorf("store: reading frame checksum: %w", noEOF(err))
 	}
-	if uint64(cap(fr.comp)) < compLen {
-		fr.comp = make([]byte, compLen)
-	}
-	fr.comp = fr.comp[:compLen]
-	if _, err := io.ReadFull(fr.br, fr.comp); err != nil {
-		return fmt.Errorf("store: reading frame payload: %w", noEOF(err))
-	}
-	if fr.fl == nil {
-		fr.fl = flate.NewReader(bytes.NewReader(fr.comp))
-	} else if err := fr.fl.(flate.Resetter).Reset(bytes.NewReader(fr.comp), nil); err != nil {
-		return fmt.Errorf("store: resetting frame decompressor: %w", err)
-	}
 	if uint64(cap(fr.frame)) < rawLen {
 		fr.frame = make([]byte, rawLen)
 	}
 	fr.frame = fr.frame[:rawLen]
-	if _, err := io.ReadFull(fr.fl, fr.frame); err != nil {
-		return fmt.Errorf("store: decompressing frame: %w", noEOF(err))
-	}
-	var one [1]byte
-	if n, _ := fr.fl.Read(one[:]); n != 0 {
-		return errors.New("store: frame decompresses past its declared length")
+	if _, err := io.ReadFull(fr.br, fr.frame); err != nil {
+		return fmt.Errorf("store: reading frame payload: %w", noEOF(err))
 	}
 	if got, want := crc32.ChecksumIEEE(fr.frame), binary.LittleEndian.Uint32(crcb[:]); got != want {
 		return fmt.Errorf("store: frame checksum mismatch (got %#x, want %#x)", got, want)

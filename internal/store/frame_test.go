@@ -135,6 +135,18 @@ func TestFrameBadMagic(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsV1 checks that a stream in the retired flate-framed
+// ccdpfrm1 format (uvarint rawLen | uvarint compLen | crc32 | flate
+// bytes) fails on its magic instead of being misread as ccdpfrm2 frames.
+// FuzzFrameReader holds the committed ccdpfrm1 corpus to the same rule.
+func TestFrameRejectsV1(t *testing.T) {
+	v1 := append(append([]byte(nil), v1Magic...), 5, 7, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 0)
+	_, err := NewFrameReader(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "bad frame magic") {
+		t.Fatalf("ccdpfrm1 stream: got %v, want a bad frame magic error", err)
+	}
+}
+
 // TestFrameWriteAfterClose enforces the writer's terminal state.
 func TestFrameWriteAfterClose(t *testing.T) {
 	var buf bytes.Buffer

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -33,48 +34,54 @@ func rawFrames(frames ...[]byte) []byte {
 	return buf.Bytes()
 }
 
-// frame encodes one frame with the given declared lengths, checksum, and
-// compressed bytes — all independently forgeable.
-func frame(rawLen, compLen uint64, crc uint32, comp []byte) []byte {
+// frame encodes one frame with the given declared length, checksum, and
+// payload bytes — all independently forgeable.
+func frame(rawLen uint64, crc uint32, payload []byte) []byte {
 	var b []byte
 	var tmp [binary.MaxVarintLen64]byte
 	b = append(b, tmp[:binary.PutUvarint(tmp[:], rawLen)]...)
-	b = append(b, tmp[:binary.PutUvarint(tmp[:], compLen)]...)
 	var c [4]byte
 	binary.LittleEndian.PutUint32(c[:], crc)
 	b = append(b, c[:]...)
-	return append(b, comp...)
+	return append(b, payload...)
 }
+
+// v1Magic is the retired flate-framed format's magic. Streams carrying it
+// (the committed corpus files among them) must be rejected outright.
+var v1Magic = []byte("ccdpfrm1")
 
 func FuzzFrameReader(f *testing.F) {
 	valid := frameStream(bytes.Repeat([]byte("trace event bytes "), 1000), 4<<10)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])        // truncated mid-frame
 	f.Add(valid[:len(frameMagic)])     // magic only, no end marker
+	f.Add(valid[:len(valid)-1])        // missing end marker
 	f.Add(frameStream(nil, 0))         // empty payload: magic + end marker
-	f.Add([]byte("ccdpfrm2"))          // wrong magic
+	f.Add(v1Magic)                     // retired format
 	f.Add([]byte("junk"))              // short junk
 	f.Add([]byte{})                    // empty input
 	f.Add(frameStream([]byte("x"), 1)) // many tiny frames
 
-	// Bad checksum over otherwise valid flate bytes.
+	// Bad checksum: flip one payload bit of the first frame.
 	badCRC := append([]byte(nil), valid...)
-	badCRC[len(frameMagic)+2+4] ^= 0x01 // flip a bit inside the first crc/payload region
+	badCRC[len(frameMagic)+2+4] ^= 0x01
 	f.Add(badCRC)
 
-	// Implausible declared lengths: must be rejected before allocation.
-	f.Add(rawFrames(frame(1<<40, 4, 0, []byte{1, 2, 3, 4})))
-	f.Add(rawFrames(frame(4, 1<<40, 0, nil)))
-	// compLen lies about the payload size.
-	f.Add(rawFrames(frame(4, 100, 0, []byte{1, 2})))
-	// rawLen smaller than what the flate stream actually inflates to.
-	good := frameStream([]byte("eightchr"), 0)
-	f.Add(rawFrames(frame(2, uint64(len(good)-len(frameMagic)-7), crc32.ChecksumIEEE([]byte("ei")), good[len(frameMagic)+7:])))
+	// Implausible declared lengths: rejected before allocation.
+	f.Add(rawFrames(frame(1<<40, 0, []byte{1, 2, 3, 4})))
+	f.Add(rawFrames(frame(maxFrameLen+1, 0, nil)))
+	// Stream cut inside a frame's checksum.
+	f.Add(rawFrames(frame(4, 0, nil)[:3]))
+	// rawLen past the end of the stream.
+	f.Add(rawFrames(frame(100, crc32.ChecksumIEEE([]byte{1, 2}), []byte{1, 2})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := NewFrameReader(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if bytes.HasPrefix(data, v1Magic) {
+			t.Fatal("retired ccdpfrm1 stream accepted")
 		}
 		// Drain via a small buffer so the partial-frame copy path runs too.
 		var n int64
@@ -110,18 +117,20 @@ func TestFuzzSeedsBehave(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		data []byte
+		want string
 	}{
-		{"oversized rawLen", rawFrames(frame(1<<40, 4, 0, []byte{1, 2, 3, 4}))},
-		{"oversized compLen", rawFrames(frame(4, 1<<40, 0, nil))},
-		{"short payload", rawFrames(frame(4, 100, 0, []byte{1, 2}))},
-		{"truncated", valid[:len(valid)-3]},
+		{"oversized rawLen", rawFrames(frame(1<<40, 0, []byte{1, 2, 3, 4})), "implausible frame length"},
+		{"rawLen past end", rawFrames(frame(100, crc32.ChecksumIEEE([]byte{1, 2}), []byte{1, 2})), "reading frame payload"},
+		{"bad checksum", rawFrames(frame(2, 0xdeadbeef, []byte{1, 2}), []byte{0}), "checksum mismatch"},
+		{"truncated", valid[:len(valid)-3], "reading frame payload"},
+		{"missing end marker", valid[:len(valid)-1], "reading frame length"},
 	} {
 		fr, err := NewFrameReader(bytes.NewReader(tc.data))
 		if err != nil {
-			continue
+			t.Fatalf("%s: magic rejected: %v", tc.name, err)
 		}
-		if _, err := io.ReadAll(fr); err == nil {
-			t.Errorf("%s: decoded cleanly", tc.name)
+		if _, err := io.ReadAll(fr); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -1,10 +1,10 @@
-// Package store is a content-addressed, compressed artifact cache shared
-// safely by concurrent processes. Entries are keyed by a hash of their
-// full provenance (whatever inputs determine the bytes), written in
-// checksummed compressed frames, published atomically (temp file +
-// rename), and coordinated across processes by an O_EXCL lock-file claim
-// protocol: for each key, exactly one producer records while every other
-// contender waits for the published entry. A maintenance pass packs small
+// Package store is a content-addressed artifact cache shared safely by
+// concurrent processes. Entries are keyed by a hash of their full
+// provenance (whatever inputs determine the bytes), written in
+// checksummed frames, published atomically (temp file + rename), and
+// coordinated across processes by an O_EXCL lock-file claim protocol: for
+// each key, exactly one producer records while every other contender
+// waits for the published entry. A maintenance pass packs small
 // entries into bundle files (replay stays sequential-I/O friendly) and
 // enforces a size cap by evicting least-recently-used entries.
 //
@@ -37,7 +37,7 @@ const (
 	bundlePrefix = "bundle-"
 	bundleExt    = ".cbundle"
 
-	// DefaultPackThreshold is the compressed size below which an entry
+	// DefaultPackThreshold is the on-disk size below which an entry
 	// counts as a small shard worth packing into a bundle.
 	DefaultPackThreshold = 64 << 10
 	// DefaultStaleClaim is how old an untouched claim file must be
@@ -56,9 +56,9 @@ type Config struct {
 	// MaxBytes caps the store's on-disk footprint; the eviction pass
 	// removes least-recently-used entries beyond it. 0 = uncapped.
 	MaxBytes int64
-	// BlockSize is the compressed framing block (0 = DefaultBlockSize).
+	// BlockSize is the framing block (0 = DefaultBlockSize).
 	BlockSize int
-	// PackThreshold is the compressed size below which Maintain packs
+	// PackThreshold is the on-disk size below which Maintain packs
 	// entries into bundles (0 = DefaultPackThreshold, < 0 disables).
 	PackThreshold int64
 	// StaleClaim is the claim-takeover age (0 = DefaultStaleClaim).
@@ -154,7 +154,7 @@ func (s *Store) claimPathFor(entryName string) string {
 	return filepath.Join(s.cfg.Dir, strings.TrimSuffix(entryName, entryExt)+claimExt)
 }
 
-// entryReader pairs the decompressing reader with the file it draws from.
+// entryReader pairs the frame reader with the file it draws from.
 type entryReader struct {
 	io.Reader
 	c io.Closer
@@ -162,8 +162,8 @@ type entryReader struct {
 
 func (er *entryReader) Close() error { return er.c.Close() }
 
-// Get opens the entry for k, if present, as a decompressed sequential
-// stream. The boolean reports presence; a present-but-corrupt entry is
+// Get opens the entry for k, if present, as a checksum-verified
+// sequential stream. The boolean reports presence; a present-but-corrupt entry is
 // an error (fail loudly, never hand back wrong bytes).
 func (s *Store) Get(k Key) (io.ReadCloser, bool, error) {
 	rc, ok, err := s.open(k)
@@ -204,7 +204,7 @@ func (s *Store) open(k Key) (io.ReadCloser, bool, error) {
 // process has yet: the claim winner records to a temp file and publishes
 // with a rename; every loser polls for the published entry (taking over
 // the claim if its holder goes stale). fill receives a plain writer —
-// compression and framing happen underneath.
+// framing happens underneath.
 func (s *Store) GetOrFill(k Key, fill func(w io.Writer) error) (io.ReadCloser, error) {
 	waited := false
 	for {

@@ -137,25 +137,36 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReaderRejectsCorruptHeaders enumerates the header error paths.
-func TestReaderRejectsCorruptHeaders(t *testing.T) {
+// corruptCase is one malformed stream and a substring its error must carry.
+type corruptCase struct {
+	name string
+	data []byte
+	want string
+}
+
+// corruptHeaders enumerates the header error paths.
+func corruptHeaders() ([]corruptCase, error) {
 	valid, err := seedTrace()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	var tmp [binary.MaxVarintLen64]byte
 	oversizedDecls := append(append([]byte{}, traceMagic...), tmp[:binary.PutUvarint(tmp[:], 256)]...)
 	oversizedDecls = append(oversizedDecls, tmp[:binary.PutUvarint(tmp[:], 1<<30)]...)
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
+	return []corruptCase{
 		{"empty", nil, "magic"},
 		{"truncated magic", valid[:4], "magic"},
 		{"bad magic", []byte("ccdptraceX........"), "bad magic"},
 		{"truncated header", valid[:len(traceMagic)+1], ""},
 		{"oversized decl count", oversizedDecls, "implausible declaration count"},
+	}, nil
+}
+
+// TestReaderRejectsCorruptHeaders checks every header error path.
+func TestReaderRejectsCorruptHeaders(t *testing.T) {
+	cases, err := corruptHeaders()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range cases {
 		_, err := NewReader(bytes.NewReader(c.data))
@@ -169,14 +180,10 @@ func TestReaderRejectsCorruptHeaders(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsCorruptEvents enumerates the event-stream error paths —
-// each one a former panic site in the emitter or object table.
-func TestReplayRejectsCorruptEvents(t *testing.T) {
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
+// corruptEvents enumerates the event-stream error paths — each one a
+// former panic site in the emitter or object table.
+func corruptEvents() []corruptCase {
+	cases := []corruptCase{
 		{"undeclared object", rawTrace(64, ev(nil, tagLoad, 99, 0, 8)...), "undeclared object"},
 		{"implausible offset", rawTrace(64, ev(nil, tagStore, 0, 1<<50, 8)...), "implausible access"},
 		{"out of bounds", rawTrace(64, append(ev(nil, tagLoad, 0, 60, 8), tagEnd)...), "outside object"},
@@ -186,6 +193,8 @@ func TestReplayRejectsCorruptEvents(t *testing.T) {
 		{"unknown tag", rawTrace(64, 0x7E), "unknown event tag"},
 		{"missing end", rawTrace(64), "event tag"},
 		{"truncated access", rawTrace(64, tagLoad), "truncated access"},
+		{"truncated alloc", rawTrace(64, ev(nil, tagAlloc, 1, 16)...), "truncated alloc"},
+		{"truncated free", rawTrace(64, tagFree), "truncated free"},
 		{"alloc id drift", rawTrace(64, append(append(ev(nil, tagAlloc, 7, 16, 0xBEEF), byte(1), 'h'), tagEnd)...), "id drift"},
 	}
 	// Double free needs a well-formed alloc first: alloc id 1, touch it (so
@@ -197,12 +206,12 @@ func TestReplayRejectsCorruptEvents(t *testing.T) {
 	df = ev(df, tagFree, 1)
 	df = ev(df, tagFree, 1)
 	df = append(df, tagEnd)
-	cases = append(cases, struct {
-		name string
-		data []byte
-		want string
-	}{"double free", rawTrace(64, df...), "double free"})
+	return append(cases, corruptCase{"double free", rawTrace(64, df...), "double free"})
+}
 
+// TestReplayRejectsCorruptEvents checks every event-stream error path.
+func TestReplayRejectsCorruptEvents(t *testing.T) {
+	cases := corruptEvents()
 	for _, c := range cases {
 		tr, err := NewReader(bytes.NewReader(c.data))
 		if err != nil {

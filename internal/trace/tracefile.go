@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -140,8 +141,17 @@ func (tw *Writer) Flush() error {
 // materialises the object table; Replay then drives a handler through an
 // Emitter, which re-validates every access and rebuilds reference counts
 // and lifetimes exactly as the original run produced them.
+//
+// The decoder works on a byte window it owns: buf[pos:end] holds the
+// bytes read from r but not yet decoded. The window is refilled in large
+// reads, and varints are parsed in place with binary.Uvarint, so decoding
+// an access event costs a few slice operations and no interface calls.
 type Reader struct {
-	br      *bufio.Reader
+	r        io.Reader
+	buf      []byte
+	pos, end int
+	rerr     error // sticky error from r; io.EOF at the clean end of input
+
 	header  FileHeader
 	objs    *object.Table
 	metrics *metrics.Collector
@@ -151,31 +161,41 @@ type Reader struct {
 	}
 }
 
+const (
+	// maxStrLen bounds a name decoded from the wire.
+	maxStrLen = 1 << 16
+	// maxEventLen is the longest fixed-field event on the wire: a tag
+	// and three varints. Replay keeps at least this much in the window
+	// before it decodes an event, so parsing never stops mid-field
+	// unless the input itself ends.
+	maxEventLen = 1 + 3*binary.MaxVarintLen64
+	// minWindow is the smallest decode window: it must hold the longest
+	// name together with its length prefix.
+	minWindow = maxStrLen + binary.MaxVarintLen64
+)
+
 // NewReader parses the header.
 func NewReader(r io.Reader) (*Reader, error) {
 	return NewReaderSize(r, 0)
 }
 
-// NewReaderSize is NewReader with an explicit decode-buffer size in bytes
-// (<= 0 selects bufio's default). Replay is I/O bound when the trace comes
-// off a file; a deep buffer keeps the decoder fed between reads so the
-// downstream profiler's shard workers never starve.
+// NewReaderSize is NewReader with an explicit decode-window size in bytes
+// (sizes below the minimum window, including <= 0, select the minimum).
+// A deep window refills in large, infrequent reads, so the decoder and the
+// downstream handlers stay busy in between.
 func NewReaderSize(r io.Reader, size int) (*Reader, error) {
-	var br *bufio.Reader
-	if size > 0 {
-		br = bufio.NewReaderSize(r, size)
-	} else {
-		br = bufio.NewReader(r)
+	if size < minWindow {
+		size = minWindow
 	}
-	tr := &Reader{br: br}
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(tr.br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	tr := &Reader{r: r, buf: make([]byte, size)}
+	if tr.fill(len(traceMagic)) < len(traceMagic) {
+		return nil, fmt.Errorf("trace: reading magic: %w", tr.short())
 	}
-	if string(magic) != string(traceMagic) {
+	if magic := tr.buf[tr.pos : tr.pos+len(traceMagic)]; string(magic) != string(traceMagic) {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	stackSize, err := binary.ReadUvarint(tr.br)
+	tr.pos += len(traceMagic)
+	stackSize, err := tr.uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +219,62 @@ func NewReaderSize(r io.Reader, size int) (*Reader, error) {
 	return tr, nil
 }
 
+// fill moves the undecoded bytes to the front of the window and reads
+// until at least need of them are available or the input is exhausted.
+// It returns the number of undecoded bytes available.
+func (tr *Reader) fill(need int) int {
+	n := copy(tr.buf, tr.buf[tr.pos:tr.end])
+	tr.pos, tr.end = 0, n
+	for empty := 0; tr.end < need && tr.rerr == nil; {
+		m, err := tr.r.Read(tr.buf[tr.end:])
+		tr.end += m
+		tr.rerr = err
+		if m > 0 {
+			empty = 0
+		} else if empty++; empty == 100 && err == nil {
+			tr.rerr = io.ErrNoProgress
+		}
+	}
+	return tr.end
+}
+
+// short reports why the window holds fewer bytes than a field needs, in
+// the error contract of io.ReadFull and binary.ReadUvarint: the reader's
+// own error if it failed, io.EOF if the input ended cleanly before the
+// field, io.ErrUnexpectedEOF if it ended inside it.
+func (tr *Reader) short() error {
+	switch {
+	case tr.rerr != io.EOF:
+		return tr.rerr
+	case tr.pos == tr.end:
+		return io.EOF
+	default:
+		return io.ErrUnexpectedEOF
+	}
+}
+
+// errOverflow reports a varint longer than any uint64 encodes.
+var errOverflow = errors.New("trace: varint overflows a 64-bit integer")
+
+// uvarint decodes one varint from the window.
+func (tr *Reader) uvarint() (uint64, error) {
+	if tr.end-tr.pos < binary.MaxVarintLen64 {
+		tr.fill(binary.MaxVarintLen64)
+	}
+	v, n := binary.Uvarint(tr.buf[tr.pos:tr.end])
+	switch {
+	case n > 0:
+		tr.pos += n
+		return v, nil
+	case n < 0:
+		return 0, errOverflow
+	default:
+		return 0, tr.short()
+	}
+}
+
 func (tr *Reader) readDecls() ([]Decl, error) {
-	n, err := binary.ReadUvarint(tr.br)
+	n, err := tr.uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -213,11 +287,11 @@ func (tr *Reader) readDecls() ([]Decl, error) {
 		if err != nil {
 			return nil, err
 		}
-		size, err := binary.ReadUvarint(tr.br)
+		size, err := tr.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		addr, err := binary.ReadUvarint(tr.br)
+		addr, err := tr.uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -227,18 +301,19 @@ func (tr *Reader) readDecls() ([]Decl, error) {
 }
 
 func (tr *Reader) readStr() (string, error) {
-	n, err := binary.ReadUvarint(tr.br)
+	n, err := tr.uvarint()
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<16 {
+	if n > maxStrLen {
 		return "", fmt.Errorf("trace: implausible string length %d", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(tr.br, b); err != nil {
-		return "", err
+	if tr.end-tr.pos < int(n) && tr.fill(int(n)) < int(n) {
+		return "", tr.short()
 	}
-	return string(b), nil
+	s := string(tr.buf[tr.pos : tr.pos+int(n)])
+	tr.pos += int(n)
+	return s, nil
 }
 
 // Header returns the parsed file header.
@@ -253,6 +328,25 @@ func (tr *Reader) Objects() *object.Table { return tr.objs }
 // live run of the same workload would.
 func (tr *Reader) SetMetrics(c *metrics.Collector) { tr.metrics = c }
 
+// fields3 parses the three varints that follow the tag at w[0] and
+// returns them with the event's encoded length, or n == 0 if a field is
+// incomplete or overflows.
+func fields3(w []byte) (a, b, c uint64, n int) {
+	a, m := binary.Uvarint(w[1:])
+	if m <= 0 {
+		return 0, 0, 0, 0
+	}
+	n = 1 + m
+	if b, m = binary.Uvarint(w[n:]); m <= 0 {
+		return 0, 0, 0, 0
+	}
+	n += m
+	if c, m = binary.Uvarint(w[n:]); m <= 0 {
+		return 0, 0, 0, 0
+	}
+	return a, b, c, n + m
+}
+
 // maxPlausible bounds offsets and sizes decoded from the wire: any larger
 // value cannot belong to a valid object and would overflow the int64
 // arithmetic of downstream consumers.
@@ -265,21 +359,24 @@ func (tr *Reader) Replay(h Handler) error {
 	em := NewEmitter(tr.objs, h)
 	em.SetMetrics(tr.metrics)
 	for {
-		tag, err := tr.br.ReadByte()
-		if err != nil {
-			return fmt.Errorf("trace: reading event tag: %w", err)
+		if tr.end-tr.pos < maxEventLen {
+			tr.fill(maxEventLen)
 		}
-		switch tag {
+		w := tr.buf[tr.pos:tr.end]
+		if len(w) == 0 {
+			return fmt.Errorf("trace: reading event tag: %w", tr.rerr)
+		}
+		switch tag := w[0]; tag {
 		case tagEnd:
+			tr.pos++
 			em.Flush()
 			return nil
 		case tagLoad, tagStore:
-			obj, err1 := binary.ReadUvarint(tr.br)
-			off, err2 := binary.ReadUvarint(tr.br)
-			size, err3 := binary.ReadUvarint(tr.br)
-			if err1 != nil || err2 != nil || err3 != nil {
+			obj, off, size, n := fields3(w)
+			if n == 0 {
 				return fmt.Errorf("trace: truncated access event")
 			}
+			tr.pos += n
 			if obj >= uint64(tr.objs.Len()) {
 				return fmt.Errorf("trace: access to undeclared object %d", obj)
 			}
@@ -296,12 +393,11 @@ func (tr *Reader) Replay(h Handler) error {
 				em.Store(object.ID(obj), int64(off), int64(size))
 			}
 		case tagAlloc:
-			obj, err1 := binary.ReadUvarint(tr.br)
-			size, err2 := binary.ReadUvarint(tr.br)
-			xor, err3 := binary.ReadUvarint(tr.br)
-			if err1 != nil || err2 != nil || err3 != nil {
+			obj, size, xor, n := fields3(w)
+			if n == 0 {
 				return fmt.Errorf("trace: truncated alloc event")
 			}
+			tr.pos += n
 			if size == 0 || size >= maxPlausible {
 				return fmt.Errorf("trace: implausible alloc size %d", size)
 			}
@@ -314,10 +410,11 @@ func (tr *Reader) Replay(h Handler) error {
 				return fmt.Errorf("trace: alloc id drift: replay %d, recorded %d", id, obj)
 			}
 		case tagFree:
-			obj, err := binary.ReadUvarint(tr.br)
-			if err != nil {
+			obj, n1 := binary.Uvarint(w[1:])
+			if n1 <= 0 {
 				return fmt.Errorf("trace: truncated free event")
 			}
+			tr.pos += 1 + n1
 			if obj >= uint64(tr.objs.Len()) {
 				return fmt.Errorf("trace: free of undeclared object %d", obj)
 			}

@@ -25,6 +25,11 @@ fi
 echo "==> test"
 go test ./...
 
+echo "==> benchmark module checks"
+# perfbench is its own module (replace repro => ../), so the root go
+# vet/test above never reach it.
+(cd perfbench && go vet ./... && go test ./...)
+
 # CI additionally runs the build-test job on a go-version matrix
 # (1.22.x, 1.23.x); locally you test whatever toolchain is installed.
 
