@@ -13,6 +13,7 @@ package repro
 import (
 	"testing"
 
+	"repro/ccdp"
 	"repro/internal/benchsuite"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -189,7 +190,7 @@ func BenchmarkCacheSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			ins := scaledInputs(w, benchScale)
-			pr, err := sim.ProfilePass(w, ins[0], opts)
+			pr, err := ccdp.Profile(w, ins[0], opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -200,7 +201,7 @@ func BenchmarkCacheSweep(b *testing.B) {
 			for _, cc := range targets {
 				evalOpts := opts
 				evalOpts.Cache = cc
-				if _, err := sim.EvalPass(w, ins[1], sim.LayoutCCDP, pr, pm, evalOpts, 0); err != nil {
+				if _, err := ccdp.Evaluate(w, ins[1], sim.LayoutCCDP, pr, pm, evalOpts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -300,7 +301,7 @@ func BenchmarkAblationAllocator(b *testing.B) {
 	b.Run("first-fit", func(b *testing.B) {
 		var rate float64
 		for i := 0; i < b.N; i++ {
-			res, err := sim.EvalPass(w, in, sim.LayoutNatural, nil, nil, opts, 0)
+			res, err := ccdp.Evaluate(w, in, sim.LayoutNatural, nil, nil, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -309,7 +310,7 @@ func BenchmarkAblationAllocator(b *testing.B) {
 		b.ReportMetric(rate, "%missrate")
 	})
 	b.Run("ccdp-temporal-fit", func(b *testing.B) {
-		pr, err := sim.ProfilePass(w, in, opts)
+		pr, err := ccdp.Profile(w, in, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -320,7 +321,7 @@ func BenchmarkAblationAllocator(b *testing.B) {
 		b.ResetTimer()
 		var rate float64
 		for i := 0; i < b.N; i++ {
-			res, err := sim.EvalPass(w, in, sim.LayoutCCDP, pr, pm, opts, 0)
+			res, err := ccdp.Evaluate(w, in, sim.LayoutCCDP, pr, pm, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -340,7 +341,7 @@ func BenchmarkProfilePass(b *testing.B) {
 	opts := sim.DefaultOptions()
 	in := scaledInputs(w, benchScale)[0]
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.ProfilePass(w, in, opts); err != nil {
+		if _, err := ccdp.Profile(w, in, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,7 +354,7 @@ func BenchmarkPlacementCompute(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := sim.DefaultOptions()
-	pr, err := sim.ProfilePass(w, scaledInputs(w, benchScale)[0], opts)
+	pr, err := ccdp.Profile(w, scaledInputs(w, benchScale)[0], opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func BenchmarkCacheSimulator(b *testing.B) {
 	opts := sim.DefaultOptions()
 	in := scaledInputs(w, benchScale)[0]
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EvalPass(w, in, sim.LayoutNatural, nil, nil, opts, 0); err != nil {
+		if _, err := ccdp.Evaluate(w, in, sim.LayoutNatural, nil, nil, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ type (
 
 // Profile runs the profiling pass (Name profile + TRG) for w on input in.
 func Profile(w Program, in Input, opts Options) (*ProfileResult, error) {
-	return sim.ProfilePass(w, in, opts)
+	return sim.ProfileFrom(sim.Live(w, in, opts), opts)
 }
 
 // Place computes the CCDP placement from a profile, honouring the
@@ -39,7 +39,15 @@ func Place(w Program, pr *ProfileResult, opts Options) (*PlacementMap, error) {
 
 // Evaluate replays w's input under the given layout through the cache
 // simulator. For LayoutCCDP, pr and pm must come from Profile and Place;
-// they are ignored otherwise.
+// they are ignored otherwise. With opts.TrackPages the input's
+// references are counted first, in a run of their own, to size the
+// working-set window.
 func Evaluate(w Program, in Input, kind LayoutKind, pr *ProfileResult, pm *PlacementMap, opts Options) (*EvalResult, error) {
-	return sim.EvalPass(w, in, kind, pr, pm, opts, 0)
+	var refs uint64
+	if opts.TrackPages {
+		countOpts := opts
+		countOpts.Metrics = nil
+		refs, _ = sim.CountRefsFrom(sim.Live(w, in, countOpts)) // a live run cannot fail
+	}
+	return sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, refs)
 }

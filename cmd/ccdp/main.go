@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -239,13 +240,17 @@ func runFromFiles(w workload.Workload, opts sim.Options, layouts []sim.LayoutKin
 		Results:   make(map[string]map[sim.LayoutKind]*sim.EvalResult),
 	}
 	for _, in := range inputs {
+		pass := sim.Pass{
+			Workload: w.Name(), HeapPlace: w.HeapPlacement(), Input: in, Layouts: layouts,
+			Profile: pr, Placement: pm, Options: opts,
+		}
+		res, err := pass.Run(context.Background(), sim.Live(w, in, opts), opts.Parallelism)
+		if err != nil {
+			return nil, err
+		}
 		byLayout := make(map[sim.LayoutKind]*sim.EvalResult, len(layouts))
-		for _, kind := range layouts {
-			res, err := sim.EvalPass(w, in, kind, pr, pm, opts, 0)
-			if err != nil {
-				return nil, err
-			}
-			byLayout[kind] = res
+		for l, kind := range layouts {
+			byLayout[kind] = res.Evals[l]
 		}
 		cmp.Results[in.Label] = byLayout
 	}

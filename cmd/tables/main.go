@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/ledger"
-	"repro/internal/placement"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -297,38 +297,31 @@ func round(d time.Duration) time.Duration {
 // cache absorbs some of the same conflict misses CCDP removes.
 func runVictim(ws []workload.Workload, scale float64) {
 	const entries = 4
-	base := sim.DefaultOptions()
-	rows := make(map[string][4]*sim.EvalResult)
-	var order []string
-	for _, w := range ws {
-		pr, pa, test, err := pipelineFor(w, scale, base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		var quad [4]*sim.EvalResult
-		for i, variant := range []struct {
-			kind   sim.LayoutKind
-			victim bool
-		}{
-			{sim.LayoutNatural, false}, {sim.LayoutNatural, true},
-			{sim.LayoutCCDP, false}, {sim.LayoutCCDP, true},
-		} {
-			opts := base
-			if variant.victim {
-				opts.Cache.VictimEntries = entries
-			}
-			res, err := sim.EvalPass(w, test, variant.kind, pr, pa.pm, opts, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			quad[i] = res
-		}
-		rows[w.Name()] = quad
-		order = append(order, w.Name())
+	rows, order, err := evalQuads(ws, scale, func(o *sim.Options) { o.Cache.VictimEntries = entries })
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return
 	}
 	fmt.Println(report.VictimTable(rows, order, entries))
+}
+
+// evalQuads evaluates each workload's test input without and with an
+// options variant, in the order natural, natural+variant, ccdp,
+// ccdp+variant.
+func evalQuads(ws []workload.Workload, scale float64, variant func(*sim.Options)) (map[string][4]*sim.EvalResult, []string, error) {
+	base := sim.DefaultOptions()
+	varied := base
+	variant(&varied)
+	passes, err := testPasses(ws, scale, base, nil, base, varied)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make(map[string][4]*sim.EvalResult)
+	for i, w := range ws {
+		p := passes[i]
+		rows[w.Name()] = [4]*sim.EvalResult{p[0].Evals[0], p[1].Evals[0], p[0].Evals[1], p[1].Evals[1]}
+	}
+	return rows, names(ws), nil
 }
 
 // scaledWorkload wraps a workload with burst-scaled inputs.
@@ -340,82 +333,68 @@ type scaledWorkload struct {
 func (s scaledWorkload) Train() workload.Input { return s.Workload.Train().Scaled(s.frac) }
 func (s scaledWorkload) Test() workload.Input  { return s.Workload.Test().Scaled(s.frac) }
 
-// pipelineFor profiles and places one workload at the given scale.
-func pipelineFor(w workload.Workload, scale float64, opts sim.Options) (*sim.ProfileResult, *placementArtifacts, workload.Input, error) {
-	train, test := w.Train(), w.Test()
-	train.Bursts = int(float64(train.Bursts) * scale)
-	test.Bursts = int(float64(test.Bursts) * scale)
-	pr, err := sim.ProfilePass(w, train, opts)
-	if err != nil {
-		return nil, nil, test, err
+// testPasses profiles and places each workload under opts at the given
+// scale, then evaluates natural and CCDP on its scaled test input in one
+// pass per options variant (through an L1+L2+TLB stack when hcfg is set).
+// The result holds each workload's passes in variant order.
+func testPasses(ws []workload.Workload, scale float64, opts sim.Options, hcfg *hierarchy.Config, variants ...sim.Options) ([][]*sim.PassResult, error) {
+	out := make([][]*sim.PassResult, len(ws))
+	for i, w := range ws {
+		pr, err := sim.ProfileFrom(sim.Live(w, w.Train().Scaled(scale), opts), opts)
+		if err != nil {
+			return nil, err
+		}
+		pm, err := sim.Place(w, pr, opts)
+		if err != nil {
+			return nil, err
+		}
+		test := w.Test().Scaled(scale)
+		for _, v := range variants {
+			pass := sim.Pass{
+				Workload: w.Name(), HeapPlace: w.HeapPlacement(), Input: test,
+				Layouts:   []sim.LayoutKind{sim.LayoutNatural, sim.LayoutCCDP},
+				Hierarchy: hcfg, Profile: pr, Placement: pm, Options: v,
+			}
+			res, err := pass.Run(context.Background(), sim.Live(w, test, v), 1)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = append(out[i], res)
+		}
 	}
-	pm, err := sim.Place(w, pr, opts)
-	if err != nil {
-		return nil, nil, test, err
-	}
-	return pr, &placementArtifacts{pm: pm}, test, nil
+	return out, nil
 }
 
-type placementArtifacts struct{ pm *placement.Map }
+func names(ws []workload.Workload) []string {
+	out := make([]string, len(ws))
+	for i, w := range ws {
+		out[i] = w.Name()
+	}
+	return out
+}
 
 // runClasses prints the three-C miss breakdown, original vs CCDP.
 func runClasses(ws []workload.Workload, scale float64) {
 	opts := sim.DefaultOptions()
 	opts.Classify = true
-	rows := make(map[string][2]*sim.EvalResult)
-	var order []string
-	for _, w := range ws {
-		pr, pa, test, err := pipelineFor(w, scale, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		nat, err := sim.EvalPass(w, test, sim.LayoutNatural, nil, nil, opts, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		ccdp, err := sim.EvalPass(w, test, sim.LayoutCCDP, pr, pa.pm, opts, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		rows[w.Name()] = [2]*sim.EvalResult{nat, ccdp}
-		order = append(order, w.Name())
+	passes, err := testPasses(ws, scale, opts, nil, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return
 	}
-	fmt.Println(report.ClassTable(rows, order))
+	rows := make(map[string][2]*sim.EvalResult)
+	for i, w := range ws {
+		rows[w.Name()] = [2]*sim.EvalResult(passes[i][0].Evals)
+	}
+	fmt.Println(report.ClassTable(rows, names(ws)))
 }
 
 // runPrefetch prints the phase-5 prefetch interaction study.
 func runPrefetch(ws []workload.Workload, scale float64) {
-	base := sim.DefaultOptions()
-	rows := make(map[string][4]*sim.EvalResult)
-	var order []string
-	for _, w := range ws {
-		pr, pa, test, err := pipelineFor(w, scale, base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		var quad [4]*sim.EvalResult
-		for i, variant := range []struct {
-			kind sim.LayoutKind
-			pf   bool
-		}{
-			{sim.LayoutNatural, false}, {sim.LayoutNatural, true},
-			{sim.LayoutCCDP, false}, {sim.LayoutCCDP, true},
-		} {
-			opts := base
-			opts.Cache.Prefetch = variant.pf
-			res, err := sim.EvalPass(w, test, variant.kind, pr, pa.pm, opts, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			quad[i] = res
-		}
-		rows[w.Name()] = quad
-		order = append(order, w.Name())
+	rows, order, err := evalQuads(ws, scale, func(o *sim.Options) { o.Cache.Prefetch = true })
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return
 	}
 	fmt.Println(report.PrefetchTable(rows, order))
 }
@@ -425,36 +404,16 @@ func runPrefetch(ws []workload.Workload, scale float64) {
 func runHierarchy(ws []workload.Workload, scale float64) {
 	opts := sim.DefaultOptions()
 	hcfg := hierarchy.DefaultConfig()
-	rows := make(map[string][2]*sim.HierarchyResult)
-	var order []string
-	for _, w := range ws {
-		train, test := w.Train(), w.Test()
-		train.Bursts = int(float64(train.Bursts) * scale)
-		test.Bursts = int(float64(test.Bursts) * scale)
-		pr, err := sim.ProfilePass(w, train, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		pm, err := sim.Place(w, pr, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		nat, err := sim.EvalHierarchy(w, test, sim.LayoutNatural, nil, nil, hcfg, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		ccdp, err := sim.EvalHierarchy(w, test, sim.LayoutCCDP, pr, pm, hcfg, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		rows[w.Name()] = [2]*sim.HierarchyResult{nat, ccdp}
-		order = append(order, w.Name())
+	passes, err := testPasses(ws, scale, opts, &hcfg, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return
 	}
-	fmt.Println(report.HierarchyTable(rows, order))
+	rows := make(map[string][2]*sim.HierarchyResult)
+	for i, w := range ws {
+		rows[w.Name()] = [2]*sim.HierarchyResult(passes[i][0].Hiers)
+	}
+	fmt.Println(report.HierarchyTable(rows, names(ws)))
 }
 
 // runSweep reproduces the section 5.2 study: how a placement targeted at
@@ -466,49 +425,37 @@ func runSweep(scale float64) {
 		{Size: 16 * 1024, BlockSize: 32, Assoc: 1},
 		{Size: 8 * 1024, BlockSize: 32, Assoc: 2},
 	}
-	fmt.Println("Section 5.2: placement trained for 8K direct-mapped, evaluated across geometries")
-	fmt.Printf("%-10s %-22s %9s %9s %7s\n", "program", "evaluated cache", "natural", "ccdp", "%red")
+	opts := sim.DefaultOptions()
+	variants := make([]sim.Options, len(targets))
+	for t, cc := range targets {
+		variants[t] = opts
+		variants[t].Cache = cc
+	}
+	var ws []workload.Workload
 	for _, name := range []string{"espresso", "compress", "m88ksim"} {
 		w, err := workload.Get(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return
 		}
-		opts := sim.DefaultOptions()
-		train := w.Train()
-		train.Bursts = int(float64(train.Bursts) * scale)
-		test := w.Test()
-		test.Bursts = int(float64(test.Bursts) * scale)
-
-		pr, err := sim.ProfilePass(w, train, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		pm, err := sim.Place(w, pr, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		for _, cc := range targets {
-			evalOpts := opts
-			evalOpts.Cache = cc
-			nat, err := sim.EvalPass(w, test, sim.LayoutNatural, nil, nil, evalOpts, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			ccdp, err := sim.EvalPass(w, test, sim.LayoutCCDP, pr, pm, evalOpts, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
+		ws = append(ws, w)
+	}
+	passes, err := testPasses(ws, scale, opts, nil, variants...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return
+	}
+	fmt.Println("Section 5.2: placement trained for 8K direct-mapped, evaluated across geometries")
+	fmt.Printf("%-10s %-22s %9s %9s %7s\n", "program", "evaluated cache", "natural", "ccdp", "%red")
+	for i, w := range ws {
+		for t, cc := range targets {
+			nat, ccdp := passes[i][t].Evals[0], passes[i][t].Evals[1]
 			red := 0.0
 			if nat.MissRate() > 0 {
 				red = 100 * (nat.MissRate() - ccdp.MissRate()) / nat.MissRate()
 			}
 			fmt.Printf("%-10s %-22s %8.2f%% %8.2f%% %6.1f%%\n",
-				name, cc.String(), nat.MissRate(), ccdp.MissRate(), red)
+				w.Name(), cc.String(), nat.MissRate(), ccdp.MissRate(), red)
 		}
 	}
 }

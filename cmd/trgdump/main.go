@@ -52,7 +52,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", *saveTrace)
 	}
 
-	pr, err := sim.ProfilePass(w, in, opts)
+	pr, err := sim.ProfileFrom(sim.Live(w, in, opts), opts)
 	if err != nil {
 		fatal(err)
 	}

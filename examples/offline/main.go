@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -50,7 +51,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pr, err := sim.ProfileFromTrace(bytes.NewReader(raw), opts)
+	src, err := sim.OpenReplay(bytes.NewReader(raw), opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pr, err := sim.ProfileFrom(src, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,16 +105,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	nat, err := sim.EvalFromTrace(bytes.NewReader(raw), sim.LayoutNatural, nil, nil, false, opts)
+	// One replay of the trace evaluates both placements.
+	src, err = sim.OpenReplay(bytes.NewReader(raw), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loadedPR := &sim.ProfileResult{Profile: loadedProf}
-	opt, err := sim.EvalFromTrace(bytes.NewReader(raw), sim.LayoutCCDP,
-		loadedPR, loadedMap, w.HeapPlacement(), opts)
+	both, err := sim.Pass{
+		HeapPlace: w.HeapPlacement(),
+		Layouts:   []sim.LayoutKind{sim.LayoutNatural, sim.LayoutCCDP},
+		Profile:   &sim.ProfileResult{Profile: loadedProf},
+		Placement: loadedMap,
+		Options:   opts,
+	}.Run(context.Background(), src, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	nat, opt := both.Evals[0], both.Evals[1]
 	fmt.Printf("\nreplayed the recorded trace under both placements:\n")
 	fmt.Printf("  natural: %5.2f%% miss rate\n", nat.MissRate())
 	fmt.Printf("  CCDP:    %5.2f%% miss rate (from the reloaded placement map)\n", opt.MissRate())

@@ -167,3 +167,25 @@ func TestWorkerDonationDeterminism(t *testing.T) {
 		t.Fatalf("donated-worker run diverged from sequential:\nsequential: %s\ndonated:    %s", seq, donated)
 	}
 }
+
+// TestSuiteReplayCount pins decode-once evaluation with a work counter
+// that holds on any CPU count: over a warm trace store, each program
+// replays its train trace once to profile and each input once to
+// evaluate every layout — 3 replays per program, 27 for the nine-program
+// suite — at any parallelism.
+func TestSuiteReplayCount(t *testing.T) {
+	tc := sim.TraceConfig{Dir: t.TempDir()}
+	if _, _, err := (Config{Scale: 0.02, Trace: tc}).Run(); err != nil {
+		t.Fatal(err) // records every trace: the store is warm from here on
+	}
+	tc.RequireRecorded = true
+	for _, parallelism := range []int{1, 4} {
+		mc := metrics.New()
+		if _, _, err := (Config{Scale: 0.02, Trace: tc, Metrics: mc, Parallelism: parallelism}).Run(); err != nil {
+			t.Fatalf("parallelism %d: %v", parallelism, err)
+		}
+		if got, want := mc.StageCount(metrics.StageReplay), uint64(3*len(workload.All())); got != want {
+			t.Fatalf("parallelism %d: %d trace replays, want %d", parallelism, got, want)
+		}
+	}
+}

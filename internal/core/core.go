@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/exec"
@@ -69,29 +70,30 @@ type Experiment struct {
 
 	// Ledger, when non-nil, receives structured run events as the
 	// experiment executes: workload start/end, per-stage spans, the
-	// placement's phase-6 merge decisions, and one eval summary per
-	// (input × layout) unit. The writer is safe for concurrent use, so
+	// placement's phase-6 merge decisions, and one eval span and summary
+	// per (input × layout) unit. The writer is safe for concurrent use, so
 	// one ledger may be shared across parallel experiments.
 	Ledger *ledger.Writer
 	// OnStage, when non-nil, is called as each pipeline stage of this
-	// experiment begins (profile, place, then once per evaluation unit).
+	// experiment begins (profile, place, then once per input's
+	// evaluation pass).
 	// It may be called from worker goroutines; keep it cheap and
 	// thread-safe. Progress displays hang off this hook.
 	OnStage func(workload string, stage metrics.Stage)
 	// OnSpan, when non-nil, observes each completed pipeline stage —
 	// fired exactly where the ledger's span events are emitted (profile,
-	// place, then one per evaluation unit), with the same start/wall
-	// interval. label is "" for profile/place and "input/layout" for
-	// eval units. Like OnStage it may fire from worker goroutines, and
+	// place, then one per evaluation pass), with the same start/wall
+	// interval. label is "" for profile/place and "input/layout+layout"
+	// (e.g. "test/natural+ccdp") for eval passes. Like OnStage it may fire from worker goroutines, and
 	// like the ledger it is observation-only: results are byte-identical
 	// with or without it. The service's span recorder hangs off this.
 	OnSpan SpanFunc
 
 	// Context, when non-nil, cancels the experiment: RunExperiment
 	// checks it at every stage boundary (before profiling, placement,
-	// and each evaluation unit) and returns the context's error instead
-	// of starting the next stage. A stage already running completes —
-	// cancellation never yields a partial Comparison, only an error.
+	// and each evaluation pass) and between the batches of an evaluation
+	// replay, and returns the context's error instead of continuing.
+	// Cancellation never yields a partial Comparison, only an error.
 	// The job manager in internal/server cancels queued and running
 	// jobs through this. Nil means run to completion.
 	Context context.Context
@@ -112,19 +114,20 @@ func Run(w workload.Workload, opts sim.Options, layouts []sim.LayoutKind, inputs
 
 // RunExperiment executes one Experiment.
 //
-// After the shared profile/placement step the (input × layout) evaluation
-// passes are independent: each builds its own object table, layout, and
-// cache model, and reads the profile/placement read-only. With
-// opts.Parallelism > 1 they fan out across a bounded worker pool;
-// results are keyed and reassembled in canonical (input, layout) order,
-// so the Comparison is bit-identical to a sequential run.
+// After the shared profile/placement step each input is evaluated in one
+// pass: its event stream decodes once and every requested layout is a
+// kernel group of that decode, reading the profile/placement read-only.
+// With opts.Parallelism > 1 the passes fan out across a bounded worker
+// pool (and a single input spends the width on its layout groups);
+// results are reassembled in canonical (input, layout) order, so the
+// Comparison is bit-identical to a sequential run.
 //
 // With e.Trace enabled, every pass is driven from trace files instead of
 // the live model: each input's stream is recorded once (a pure record
 // pass with no other consumers) and replayed for profiling, reference
-// counting, and every evaluation. Replay reconstructs the object tables
-// from the recorded headers and feeds the identical event sequence, so
-// the Comparison is again bit-identical — at any parallelism.
+// counting, and evaluation. Replay reconstructs the object tables from
+// the recorded headers and feeds the identical event sequence, so the
+// Comparison is again bit-identical — at any parallelism.
 func RunExperiment(e Experiment) (*Comparison, error) {
 	w, opts := e.Workload, e.Options
 	if w == nil {
@@ -160,7 +163,11 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 	}
 	e.stage(w.Name(), metrics.StageProfile)
 	profStart := time.Now()
-	pr, err := profilePass(store, w, opts)
+	src, err := open(store, w, w.Train(), opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: profiling %s: %w", w.Name(), err)
+	}
+	pr, err := sim.ProfileFrom(src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling %s: %w", w.Name(), err)
 	}
@@ -189,12 +196,8 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 	}
 
 	// The refs hint (which sizes the paging tracker's working-set window)
-	// is an exact per-input quantity, identical for every layout of that
-	// input. Resolve it once up front — reusing the profile pass's count
-	// when an input is the profiled train input, instead of re-counting —
-	// and share it across inputs and layouts. The seed chained the hint
-	// from layout to layout within one input, which produced these same
-	// exact values one CountRefs pass later.
+	// is an exact per-input quantity: the profile pass's count for the
+	// profiled train input, a counting pass for any other.
 	hints := make([]uint64, len(inputs))
 	if opts.TrackPages {
 		for i, in := range inputs {
@@ -206,70 +209,75 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 		}
 	}
 
-	type unit struct{ input, layout int }
-	units := make([]unit, 0, len(inputs)*len(layouts))
-	for i := range inputs {
-		for l := range layouts {
-			units = append(units, unit{input: i, layout: l})
-		}
-	}
-
-	// evalUnit runs one (input × layout) pass with its observability
-	// wrapping: the OnStage hook, a ledger span, and an eval summary.
-	// Both the sequential and the parallel path route through it, so a
-	// ledger records the same events either way (span interleaving and
-	// timing differ; results and summaries do not).
-	evalUnit := func(in workload.Input, kind sim.LayoutKind, passOpts sim.Options, hint uint64) (*sim.EvalResult, error) {
+	// One evaluation pass per input: the input decodes once and every
+	// requested layout rides that decode as its own kernel group. A pass
+	// is wrapped in its observability — the OnStage hook, one OnSpan span
+	// labelled "input/layout+layout", and per (input, layout) unit a
+	// ledger span (its share of the pass interval) and an eval summary —
+	// on the sequential and the parallel path alike.
+	label := strings.Join(layoutNames(layouts), "+")
+	evalInput := func(ctx context.Context, i int, passOpts sim.Options, workers int) ([]*sim.EvalResult, error) {
+		in := inputs[i]
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s cancelled before evaluating %s/%s: %w", w.Name(), in.Label, kind, err)
+			return nil, fmt.Errorf("core: %s cancelled before evaluating %s: %w", w.Name(), in.Label, err)
 		}
 		e.stage(w.Name(), metrics.StageEval)
 		start := time.Now()
-		res, err := evalPass(store, w, in, kind, pr, pm, passOpts, hint)
+		src, err := open(store, w, in, passOpts)
 		if err != nil {
-			return nil, fmt.Errorf("core: evaluating %s/%s/%s: %w", w.Name(), in.Label, kind, err)
+			return nil, fmt.Errorf("core: evaluating %s/%s: %w", w.Name(), in.Label, err)
 		}
-		e.Ledger.Span(w.Name(), metrics.StageEval.String(), start, time.Since(start))
-		e.span(w.Name(), metrics.StageEval, in.Label+"/"+string(kind), start)
-		e.Ledger.Eval(ledgerEval(res))
-		return res, nil
+		pass := sim.Pass{
+			Workload: w.Name(), HeapPlace: w.HeapPlacement(), Input: in, Layouts: layouts,
+			Profile: pr, Placement: pm, Options: passOpts, RefsHint: hints[i],
+		}
+		res, err := pass.Run(ctx, src, workers)
+		if err != nil {
+			return nil, fmt.Errorf("core: evaluating %s/%s: %w", w.Name(), in.Label, err)
+		}
+		// The units of a pass share its decode, so each unit's ledger span
+		// is an equal, consecutive share of the pass interval: the spans
+		// tile the pass and sum to its wall time, not a multiple of it.
+		share := time.Since(start) / time.Duration(len(res.Evals))
+		for u, r := range res.Evals {
+			e.Ledger.Span(w.Name(), metrics.StageEval.String(), start.Add(time.Duration(u)*share), share)
+			e.Ledger.Eval(ledgerEval(r))
+		}
+		e.span(w.Name(), metrics.StageEval, in.Label+"/"+label, start)
+		return res.Evals, nil
 	}
 
-	var results []*sim.EvalResult
-	if opts.Parallelism > 1 && len(units) > 1 {
-		tasks := make([]exec.Task[*sim.EvalResult], len(units))
-		for ui, u := range units {
-			u := u
-			tasks[ui] = func(_ context.Context, mc *metrics.Collector) (*sim.EvalResult, error) {
+	// With several inputs the passes fan out across the pool and split
+	// its width; a single input spends it all on its layout groups.
+	var results [][]*sim.EvalResult
+	if opts.Parallelism > 1 && len(inputs) > 1 {
+		workers := max(1, opts.Parallelism/len(inputs))
+		tasks := make([]exec.Task[[]*sim.EvalResult], len(inputs))
+		for i := range inputs {
+			tasks[i] = func(ctx context.Context, mc *metrics.Collector) ([]*sim.EvalResult, error) {
 				passOpts := opts
 				passOpts.Metrics = mc
-				return evalUnit(inputs[u.input], layouts[u.layout], passOpts, hints[u.input])
+				return evalInput(ctx, i, passOpts, workers)
 			}
 		}
-		var err error
-		results, err = exec.Map(ctx, opts.Parallelism, opts.Metrics, tasks)
-		if err != nil {
+		if results, err = exec.Map(ctx, opts.Parallelism, opts.Metrics, tasks); err != nil {
 			return nil, err
 		}
 	} else {
-		results = make([]*sim.EvalResult, len(units))
-		for ui, u := range units {
-			res, err := evalUnit(inputs[u.input], layouts[u.layout], opts, hints[u.input])
-			if err != nil {
+		results = make([][]*sim.EvalResult, len(inputs))
+		for i := range inputs {
+			if results[i], err = evalInput(ctx, i, opts, max(1, opts.Parallelism)); err != nil {
 				return nil, err
 			}
-			results[ui] = res
 		}
 	}
 
-	for ui, u := range units {
-		in := inputs[u.input]
-		byLayout := c.Results[in.Label]
-		if byLayout == nil {
-			byLayout = make(map[sim.LayoutKind]*sim.EvalResult, len(layouts))
-			c.Results[in.Label] = byLayout
+	for i, in := range inputs {
+		byLayout := make(map[sim.LayoutKind]*sim.EvalResult, len(layouts))
+		for l, kind := range layouts {
+			byLayout[kind] = results[i][l]
 		}
-		byLayout[layouts[u.layout]] = results[ui]
+		c.Results[in.Label] = byLayout
 	}
 	if e.Ledger != nil {
 		we := ledger.WorkloadEnd{Workload: w.Name()}
@@ -356,43 +364,23 @@ func ledgerEval(res *sim.EvalResult) ledger.Eval {
 	return ev
 }
 
-// profilePass profiles the train input, live or from the trace store.
-func profilePass(store *sim.TraceStore, w workload.Workload, opts sim.Options) (*sim.ProfileResult, error) {
+// open returns an input's event stream, live or from the trace store.
+func open(store *sim.TraceStore, w workload.Workload, in workload.Input, opts sim.Options) (sim.EventStream, error) {
 	if store == nil {
-		return sim.ProfilePass(w, w.Train(), opts)
+		return sim.Live(w, in, opts), nil
 	}
-	src, err := store.Open(w.Train(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return sim.ProfileFrom(src, opts)
+	return store.Open(in, opts)
 }
 
-// countRefs sizes a working-set window, live or from the trace store. The
-// sizing pass never feeds the metrics collector (CountRefs's contract), so
-// the trace replay opens with a nil collector too.
+// countRefs sizes a working-set window. The sizing pass never feeds the
+// metrics collector (CountRefsFrom's contract).
 func countRefs(store *sim.TraceStore, w workload.Workload, in workload.Input, opts sim.Options) (uint64, error) {
-	if store == nil {
-		return sim.CountRefs(w, in, opts), nil
-	}
 	opts.Metrics = nil
-	src, err := store.Open(in, opts)
+	src, err := open(store, w, in, opts)
 	if err != nil {
 		return 0, err
 	}
 	return sim.CountRefsFrom(src)
-}
-
-// evalPass runs one evaluation unit, live or from the trace store.
-func evalPass(store *sim.TraceStore, w workload.Workload, in workload.Input, kind sim.LayoutKind, pr *sim.ProfileResult, pm *placement.Map, opts sim.Options, hint uint64) (*sim.EvalResult, error) {
-	if store == nil {
-		return sim.EvalPass(w, in, kind, pr, pm, opts, hint)
-	}
-	src, err := store.Open(in, opts)
-	if err != nil {
-		return nil, err
-	}
-	return sim.EvalFrom(src, w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, hint)
 }
 
 // RunDefault runs the paper's standard experiment (natural + CCDP on train

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"testing"
+	"time"
 
+	"repro/internal/ledger"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -78,5 +82,90 @@ func TestResultMissing(t *testing.T) {
 	c := &Comparison{Results: map[string]map[sim.LayoutKind]*sim.EvalResult{}}
 	if c.Result("train", sim.LayoutCCDP) != nil {
 		t.Fatal("missing result should be nil")
+	}
+}
+
+// TestExperimentDecodesEachInputOnce pins an experiment's replay count:
+// one replay of the train trace to profile, then one per input however
+// many layouts ride it — at any parallelism.
+func TestExperimentDecodesEachInputOnce(t *testing.T) {
+	w, err := workload.Get("espresso")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := scaledWorkload{Workload: w, frac: 0.05}
+	dir := t.TempDir()
+	for _, parallelism := range []int{1, 4} {
+		for _, inputs := range [][]workload.Input{{sw.Test()}, {sw.Train(), sw.Test()}} {
+			opts := sim.DefaultOptions()
+			opts.Metrics = metrics.New()
+			opts.Parallelism = parallelism
+			_, err := RunExperiment(Experiment{
+				Workload: sw, Options: opts, Inputs: inputs, Trace: sim.TraceConfig{Dir: dir},
+				Layouts: []sim.LayoutKind{sim.LayoutNatural, sim.LayoutCCDP, sim.LayoutRandom},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := opts.Metrics.StageCount(metrics.StageReplay), uint64(1+len(inputs)); got != want {
+				t.Fatalf("parallelism %d, %d inputs: %d trace replays, want %d",
+					parallelism, len(inputs), got, want)
+			}
+		}
+	}
+}
+
+// TestLedgerEvalSpansTilePasses pins the ledger's eval spans to the pass
+// intervals they come from: one span per (input, layout) unit, the units
+// of a pass in consecutive, non-overlapping order, and their walls
+// summing to at most the passes' own wall time — so a consumer that sums
+// ledger spans counts each pass once, not once per layout.
+func TestLedgerEvalSpansTilePasses(t *testing.T) {
+	w, err := workload.Get("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	layouts := []sim.LayoutKind{sim.LayoutNatural, sim.LayoutCCDP, sim.LayoutRandom}
+	var buf bytes.Buffer
+	lw := ledger.New(&buf)
+	var passWall time.Duration
+	_, err = RunExperiment(Experiment{
+		Workload: scaledWorkload{Workload: w, frac: 0.05}, Options: sim.DefaultOptions(),
+		Layouts: layouts, Ledger: lw,
+		OnSpan: func(_ string, s metrics.Stage, _ string, _ time.Time, wall time.Duration) {
+			if s == metrics.StageEval {
+				passWall += wall
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := ledger.Replay(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evals []ledger.Span
+	for _, s := range run.Spans {
+		if s.Stage == metrics.StageEval.String() {
+			evals = append(evals, s)
+		}
+	}
+	if len(evals) != 2*len(layouts) {
+		t.Fatalf("ledger eval spans = %d, want %d", len(evals), 2*len(layouts))
+	}
+	var sum time.Duration
+	for i, s := range evals {
+		sum += time.Duration(s.WallNs)
+		if i%len(layouts) > 0 && s.StartNs < evals[i-1].StartNs+evals[i-1].WallNs {
+			t.Errorf("eval span %d starts at %d, inside unit %d (%d+%d)",
+				i, s.StartNs, i-1, evals[i-1].StartNs, evals[i-1].WallNs)
+		}
+	}
+	if sum > passWall {
+		t.Errorf("ledger eval spans sum to %v, more than the passes' %v", sum, passWall)
 	}
 }

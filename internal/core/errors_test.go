@@ -112,9 +112,10 @@ func TestRunPopulatesMetrics(t *testing.T) {
 	if mc.StageCount(metrics.StageProfile) != 1 || mc.StageCount(metrics.StagePlace) != 1 {
 		t.Error("profile/place stages not each timed once")
 	}
-	// Two inputs x two layouts.
-	if got := mc.StageCount(metrics.StageEval); got != 4 {
-		t.Errorf("eval stage count = %d, want 4", got)
+	// One pass per input: two inputs, each evaluating both layouts in
+	// one decode.
+	if got := mc.StageCount(metrics.StageEval); got != 2 {
+		t.Errorf("eval stage count = %d, want 2", got)
 	}
 	if mc.StageTotal(metrics.StagePipeline) < mc.StageTotal(metrics.StageProfile) {
 		t.Error("pipeline span shorter than its profile sub-span")

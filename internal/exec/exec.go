@@ -1,6 +1,6 @@
 // Package exec is the experiment engine's worker-pool scheduler. The
 // CCDP evaluation is embarrassingly parallel — workloads in the bench
-// suite, and (input × layout) evaluation passes within one workload's
+// suite, and per-input evaluation passes within one workload's
 // experiment, share no mutable state — so the scheduler's only jobs are
 // bounding concurrency, keeping results deterministic, and folding
 // per-worker instrumentation back together:
@@ -17,7 +17,9 @@
 //
 // Two scheduling shapes share those rules: Map, for finite task lists, and
 // Stream, for ordered fan-out of an unbounded item sequence to long-lived
-// stateful workers (the sharded profiling stage).
+// stateful workers (the sharded profiling stage) — with Broadcast, its
+// batched form, carrying the decode-once evaluation kernel and the
+// sweep's multi-profile pass.
 package exec
 
 import (

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"repro/ccdp"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func realArtifacts(t *testing.T) (*sim.ProfileResult, *placement.Map) {
 	in := w.Train()
 	in.Bursts /= 20
 	opts := sim.DefaultOptions()
-	pr, err := sim.ProfilePass(w, in, opts)
+	pr, err := ccdp.Profile(w, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +179,11 @@ func TestLoadedPlacementDrivesEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	direct, err := sim.EvalPass(w, in, sim.LayoutCCDP, pr, pm, opts, 0)
+	direct, err := ccdp.Evaluate(w, in, sim.LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := sim.EvalPass(w, in, sim.LayoutCCDP, &sim.ProfileResult{Profile: lp}, lm, opts, 0)
+	loaded, err := ccdp.Evaluate(w, in, sim.LayoutCCDP, &sim.ProfileResult{Profile: lp}, lm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

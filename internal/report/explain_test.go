@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func smallPipeline(t *testing.T, name string) (*sim.ProfileResult, *sim.EvalResu
 	opts.Classify = true
 	in := w.Train()
 	in.Bursts /= 20
-	pr, err := sim.ProfilePass(w, in, opts)
+	pr, err := sim.ProfileFrom(sim.Live(w, in, opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,17 +31,15 @@ func smallPipeline(t *testing.T, name string) (*sim.ProfileResult, *sim.EvalResu
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := sim.EvalPass(w, in, sim.LayoutNatural, nil, nil, opts, 0)
+	res, err := sim.Pass{
+		Workload: w.Name(), HeapPlace: w.HeapPlacement(), Input: in,
+		Layouts: []sim.LayoutKind{sim.LayoutNatural, sim.LayoutCCDP},
+		Profile: pr, Placement: pm, Options: opts,
+	}.Run(context.Background(), sim.Live(w, in, opts), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := sim.EvalPass(w, in, sim.LayoutCCDP, pr, pm, opts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {})
-	_ = pm
-	return pr, nat, ccdp, w
+	return pr, res.Evals[0], res.Evals[1], w
 }
 
 func TestTRGSummary(t *testing.T) {
@@ -68,7 +67,7 @@ func TestPlacementSummary(t *testing.T) {
 	opts := sim.DefaultOptions()
 	in := w.Train()
 	in.Bursts /= 20
-	pr, err := sim.ProfilePass(w, in, opts)
+	pr, err := sim.ProfileFrom(sim.Live(w, in, opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +117,13 @@ func TestHierarchyTable(t *testing.T) {
 	in := w.Train()
 	in.Bursts /= 20
 	hcfg := hierarchy.DefaultConfig()
-	nat, err := sim.EvalHierarchy(w, in, sim.LayoutNatural, nil, nil, hcfg, opts)
+	res, err := sim.Pass{
+		Workload: w.Name(), Input: in, Layouts: []sim.LayoutKind{sim.LayoutNatural}, Hierarchy: &hcfg, Options: opts,
+	}.Run(context.Background(), sim.Live(w, in, opts), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nat := res.Hiers[0]
 	rows := map[string][2]*sim.HierarchyResult{w.Name(): {nat, nat}}
 	out := HierarchyTable(rows, []string{w.Name()})
 	if !strings.Contains(out, "fpppp") || !strings.Contains(out, "TLB") {

@@ -286,13 +286,14 @@ func (s *Server) validate(req *JobRequest) error {
 		if req.Grid != nil {
 			g = *req.Grid
 		}
-		cells, err := g.Cells()
-		if err != nil {
-			return badRequest("%v", err)
-		}
-		if len(cells) > s.cfg.MaxSweepCells {
+		// Count before expanding: a small request can describe a cross
+		// product far too large to materialize.
+		if n := g.NumCells(); n > s.cfg.MaxSweepCells {
 			return badRequest("grid expands to %d cells, above the server limit %d",
-				len(cells), s.cfg.MaxSweepCells)
+				n, s.cfg.MaxSweepCells)
+		}
+		if _, err := g.Cells(); err != nil {
+			return badRequest("%v", err)
 		}
 	}
 	return nil

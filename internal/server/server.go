@@ -187,19 +187,35 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// maxRequestBytes caps a POST /v1/jobs body. Requests are a few hundred
+// bytes; even a sweep grid at the cell cap is a few kilobytes.
+const maxRequestBytes = 64 << 10
+
+// parseRequest decodes and validates a POST /v1/jobs body. Failures are
+// *requestError values carrying the status to reply with: 413 for a body
+// over maxRequestBytes, otherwise validate's 400/404.
+func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return req, &requestError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body above %d bytes", maxRequestBytes)}
+		}
+		return req, badRequest("decoding request: %v", err)
+	}
+	return req, s.validate(&req)
+}
+
 // handleSubmit accepts a job. The default reply is 202 with the job's
 // status; ?wait=true ties the job to the request — the handler blocks
 // until the job finishes and replies with its final status, and a client
 // that disconnects while waiting cancels the job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if err := s.validate(&req); err != nil {
+	req, err := s.parseRequest(w, r)
+	if err != nil {
 		var re *requestError
 		if errors.As(err, &re) {
 			writeError(w, re.status, "%s", re.msg)

@@ -437,8 +437,8 @@ func TestTraceEndpointAndLedgerTrace(t *testing.T) {
 			t.Fatalf("span not closed or inverted: %+v", sp)
 		}
 		if sp.Stage == "eval" {
-			if sp.Label == "" {
-				t.Fatalf("eval span without input/layout label: %+v", sp)
+			if sp.Label != "train/natural+ccdp" && sp.Label != "test/natural+ccdp" {
+				t.Fatalf("eval span label %q, want <input>/natural+ccdp: %+v", sp.Label, sp)
 			}
 			for _, cd := range sp.Counters {
 				if cd.Name == "sim.accesses" && cd.Delta > 0 {
@@ -447,8 +447,8 @@ func TestTraceEndpointAndLedgerTrace(t *testing.T) {
 			}
 		}
 	}
-	if stages["profile"] == 0 || stages["place"] == 0 || stages["eval"] < 4 {
-		t.Fatalf("trace stage census %v, want profile, place, and 4 eval units", stages)
+	if stages["profile"] == 0 || stages["place"] == 0 || stages["eval"] != 2 {
+		t.Fatalf("trace stage census %v, want profile, place, and 2 eval passes (train, test)", stages)
 	}
 	if !evalCounters {
 		t.Fatalf("no eval span carries a sim.accesses counter delta:\n%s", body)

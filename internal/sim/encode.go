@@ -15,7 +15,7 @@ import (
 // numbers, and miss attribution.
 //
 // Deliberately excluded: the Workload/Input labels (a trace replay
-// carries neither — EvalFromTrace returns "" and a zero Input) and the
+// carries neither; callers label results as they see fit) and the
 // Objects table pointer (identity, not content). Encoding a nil result
 // returns "evalresult: nil\n" so diffs against missing cells fail
 // loudly rather than match.

@@ -46,7 +46,7 @@ func TestPredictionTracksMeasurement(t *testing.T) {
 			opts.Classify = true
 			in := quickInput(w, 0.3)
 
-			pr, err := ProfilePass(w, in, opts)
+			pr, err := profileLive(w, in, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,11 +72,11 @@ func TestPredictionTracksMeasurement(t *testing.T) {
 					predNat, predCCDP)
 			}
 
-			nat, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+			nat, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ccdp, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+			ccdp, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestPredictionTracksMeasurement(t *testing.T) {
 // TestPredictConflictEmptyLayout sanity-checks the helper.
 func TestPredictConflictEmptyLayout(t *testing.T) {
 	w, _ := workload.Get("compress")
-	pr, err := ProfilePass(w, quickInput(w, 0.02), DefaultOptions())
+	pr, err := profileLive(w, quickInput(w, 0.02), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

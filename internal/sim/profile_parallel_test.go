@@ -20,7 +20,7 @@ func profileBytes(t *testing.T, name string, opts Options) ([]byte, *profile.Pro
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := ProfilePass(w, quickInput(w, 0.05), opts)
+	pr, err := profileLive(w, quickInput(w, 0.05), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

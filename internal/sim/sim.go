@@ -6,11 +6,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/addrspace"
 	"repro/internal/cache"
 	"repro/internal/heapsim"
+	"repro/internal/hierarchy"
 	"repro/internal/layout"
 	"repro/internal/metrics"
 	"repro/internal/object"
@@ -148,18 +150,6 @@ type profiler interface {
 	Finish() *profile.Profile
 }
 
-// ProfilePass runs the workload once, collecting the Name profile and TRG.
-// With opts.Parallelism > 1 the TRG build runs on the sharded profiler:
-// the recency-queue edge scans fan out across per-cache-set-group workers
-// (at most Parallelism, clamped by the cache geometry) while the event
-// stream stays strictly ordered. The result is byte-identical to the
-// sequential profiler at any setting — the differential tests hold the
-// sharded build to exact edge-weight equality with the single-queue
-// oracle.
-func ProfilePass(w workload.Workload, in workload.Input, opts Options) (*ProfileResult, error) {
-	return ProfileFrom(Live(w, in, opts), opts)
-}
-
 // ProfileFrom runs the profiling pass over any event source — the live
 // model or a trace replay. When the source is a replay and the config does
 // not say otherwise, the sharded profiler's fan-out buffers deepen to
@@ -249,81 +239,122 @@ type EvalResult struct {
 // MissRate returns the overall data-cache miss rate (percent).
 func (r *EvalResult) MissRate() float64 { return r.Stats.MissRate() }
 
-// EvalPass replays the workload under the given layout kind. For
-// LayoutCCDP, pr and pm supply the profile and placement; they are ignored
-// otherwise. refsHint sizes the working-set window; pass 0 to have the
-// pass count references first.
-func EvalPass(w workload.Workload, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options, refsHint uint64) (*EvalResult, error) {
-	if opts.TrackPages && refsHint == 0 {
-		refsHint = CountRefs(w, in, opts)
-	}
-	return EvalFrom(Live(w, in, opts), w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, refsHint)
+// HierarchyResult is the outcome of one multi-level evaluation pass.
+type HierarchyResult struct {
+	Workload string
+	Input    workload.Input
+	Layout   LayoutKind
+	Stats    hierarchy.Stats
+
+	// Attribution holds the L1 miss attribution (nil unless
+	// Options.Attribution) — the same per-set counters and conflict-pair
+	// sketch a single-level pass reports, so attribution propagates
+	// consistently across both evaluation shapes.
+	Attribution *cache.AttributionStats
 }
 
 // EvalFrom runs one evaluation pass over any event source — the live
 // model or a trace replay. wname labels the result; heapPlace selects the
 // CCDP custom allocator (the per-program heap-placement choice the live
 // pipeline reads from Workload.HeapPlacement). With opts.TrackPages the
-// caller must supply the exact refsHint — a replay cannot be re-driven to
-// count; use CountRefsFrom on a second stream of the same trace.
+// caller must supply the exact refsHint — a stream drives only once; use
+// CountRefsFrom on a second stream of the same input. It is a Pass with
+// one layout.
 func EvalFrom(src EventStream, wname string, heapPlace bool, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options, refsHint uint64) (*EvalResult, error) {
+	p := Pass{
+		Workload: wname, HeapPlace: heapPlace, Input: in, Layouts: []LayoutKind{kind},
+		Profile: pr, Placement: pm, Options: opts, RefsHint: refsHint,
+	}
+	res, err := p.Run(context.TODO(), src, 1)
+	if err != nil {
+		return nil, err
+	}
+	return res.Evals[0], nil
+}
+
+// Pass evaluates several layouts of one input from a single decode of its
+// event stream: each layout is its own group (address space) with one
+// member simulator, so the results equal one EvalFrom per layout.
+type Pass struct {
+	// Workload, HeapPlace, Input, Profile, Placement, and RefsHint are
+	// EvalFrom's arguments of the same names.
+	Workload  string
+	HeapPlace bool
+	Input     workload.Input
+	Profile   *ProfileResult
+	Placement *placement.Map
+	Options   Options
+	RefsHint  uint64
+	// Layouts are evaluated, and their results returned, in order.
+	Layouts []LayoutKind
+	// Hierarchy, when non-nil, evaluates every layout through an
+	// L1+L2+TLB stack instead of the single-level Options.Cache — the
+	// "other levels of the memory hierarchy" study the paper sketches at
+	// the end of section 5.1. Paging is tracked only without it.
+	Hierarchy *hierarchy.Config
+}
+
+// PassResult holds a Pass's results in Layouts order: Evals for a
+// single-level pass, Hiers for a hierarchy pass.
+type PassResult struct {
+	Evals []*EvalResult
+	Hiers []*HierarchyResult
+}
+
+// Run drives the pass over src under one StageEval span. workers bounds
+// the layout fan-out (see RunGroups); ctx aborts the replay mid-stream.
+func (p Pass) Run(ctx context.Context, src EventStream, workers int) (*PassResult, error) {
+	opts := p.Options
 	span := opts.Metrics.Start(metrics.StageEval)
 	defer span.Stop()
 	defer src.Close()
 
 	table := src.Objects()
-	lay, alloc, err := BuildLayout(table, kind, heapPlace, pr, pm, opts)
+	groups := make([]*Group, len(p.Layouts))
+	members := make([]*Member, len(p.Layouts))
+	for i, kind := range p.Layouts {
+		lay, alloc, err := BuildLayout(table, kind, p.HeapPlace, p.Profile, p.Placement, opts)
+		if err != nil {
+			return nil, err
+		}
+		g := &Group{}
+		g.SetLayout(table, lay, alloc)
+		if opts.TrackPages && p.Hierarchy == nil {
+			g.pages = vmpage.NewTracker(uint64(float64(p.RefsHint) * opts.PageWindowFrac))
+		}
+		if members[i], err = g.NewMember(opts, p.Hierarchy, table.Len()); err != nil {
+			return nil, err
+		}
+		groups[i] = g
+	}
+	rp, err := RunGroups(ctx, src, groups, workers, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	cs, err := cache.New(opts.Cache, opts.Classify)
-	if err != nil {
-		return nil, err
+	out := &PassResult{}
+	for i, kind := range p.Layouts {
+		res, hres := members[i].Result(kind, rp)
+		if hres != nil {
+			hres.Workload, hres.Input = p.Workload, p.Input
+			out.Hiers = append(out.Hiers, hres)
+			continue
+		}
+		res.Workload, res.Input = p.Workload, p.Input
+		if m := opts.Metrics; m != nil {
+			m.Add(metrics.SimAccesses, res.Stats.Accesses)
+			m.Add(metrics.SimMisses, res.Stats.Misses)
+			m.AddNamed("sim.hits."+string(kind), res.Stats.Accesses-res.Stats.Misses)
+			m.AddNamed("sim.misses."+string(kind), res.Stats.Misses)
+		}
+		out.Evals = append(out.Evals, res)
 	}
-	if opts.Attribution {
-		cs.SetAttribution(cache.NewAttribution(opts.Cache, opts.AttributionPairs))
-	}
-	cs.PresizeObjects(table.Len())
-	counter := trace.NewCounter(table)
-	sink := &resolver{objs: table, lay: lay, alloc: alloc, sim: cs, counter: counter}
-	if opts.TrackPages {
-		window := uint64(float64(refsHint) * opts.PageWindowFrac)
-		sink.pages = vmpage.NewTracker(window)
-	}
-
-	if err := src.Drive(sink); err != nil {
-		return nil, err
-	}
-
-	res := &EvalResult{
-		Workload:   wname,
-		Input:      in,
-		Layout:     kind,
-		Stats:      cs.Stats(),
-		Counter:    counter,
-		Objects:    table,
-		AllocStats: alloc.Stats(),
-	}
-	res.ObjRefs, res.ObjMisses = cs.ObjectStats()
-	res.Attribution = cs.Attribution().Stats()
-	if sink.pages != nil {
-		res.TotalPages = sink.pages.TotalPages()
-		res.WorkingSet = sink.pages.WorkingSet()
-	}
-	if m := opts.Metrics; m != nil {
-		m.Add(metrics.SimAccesses, res.Stats.Accesses)
-		m.Add(metrics.SimMisses, res.Stats.Misses)
-		m.AddNamed("sim.hits."+string(kind), res.Stats.Accesses-res.Stats.Misses)
-		m.AddNamed("sim.misses."+string(kind), res.Stats.Misses)
-	}
-	return res, nil
+	return out, nil
 }
 
 // BuildLayout materializes the address layout and heap allocator for one
-// layout kind over a frozen object table — the shared preamble of every
-// evaluation pass (single-level, hierarchy, and the sweep engine's
-// per-cell evaluators). heapPlace selects the CCDP custom allocator; pr
+// layout kind over a frozen object table — the preamble of every group
+// the kernel drives (Pass layouts and the sweep engine's layout groups). heapPlace selects the CCDP custom allocator; pr
 // and pm are required only for LayoutCCDP.
 func BuildLayout(table *object.Table, kind LayoutKind, heapPlace bool, pr *ProfileResult, pm *placement.Map, opts Options) (*layout.Layout, heapsim.Allocator, error) {
 	switch kind {
@@ -369,18 +400,10 @@ func baseAllocator(fit string) (heapsim.Allocator, error) {
 	}
 }
 
-// CountRefs runs the workload with only a counter attached and returns the
-// total reference count (used to size working-set windows). It is a sizing
-// utility, not a pipeline stage, so it never feeds the metrics collector.
-func CountRefs(w workload.Workload, in workload.Input, opts Options) uint64 {
-	opts.Metrics = nil
-	n, _ := CountRefsFrom(Live(w, in, opts)) // a live run cannot fail
-	return n
-}
-
-// CountRefsFrom counts the references of any event source. Like CountRefs
-// it is a sizing utility: callers should hand it a stream built with a nil
-// metrics collector so the extra pass does not double-count.
+// CountRefsFrom counts the references of any event source (used to size
+// working-set windows). It is a sizing utility, not a pipeline stage:
+// callers should hand it a stream built with a nil metrics collector so
+// the extra pass does not double-count.
 func CountRefsFrom(src EventStream) (uint64, error) {
 	defer src.Close()
 	counter := trace.NewCounter(src.Objects())
@@ -388,67 +411,4 @@ func CountRefsFrom(src EventStream) (uint64, error) {
 		return 0, err
 	}
 	return counter.Refs(), nil
-}
-
-// accessor is any cache model the resolver can drive (a single cache or a
-// multi-level hierarchy).
-type accessor interface {
-	Access(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int
-	Write(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int
-}
-
-// resolver converts logical events into simulated cache accesses, playing
-// the role of the paper's address-remapping simulation harness.
-type resolver struct {
-	objs     *object.Table
-	lay      *layout.Layout
-	alloc    heapsim.Allocator
-	sim      accessor
-	counter  *trace.Counter
-	pages    *vmpage.Tracker
-	heapAddr []addrspace.Addr
-	clock    uint64
-}
-
-// HandleBatch implements trace.BatchHandler: the simulator consumes runs
-// of loads and stores in one tight loop per batch.
-func (r *resolver) HandleBatch(evs []trace.Event) {
-	for i := range evs {
-		r.HandleEvent(evs[i])
-	}
-}
-
-// HandleEvent implements trace.Handler.
-func (r *resolver) HandleEvent(ev trace.Event) {
-	if r.counter != nil {
-		r.counter.HandleEvent(ev)
-	}
-	in := r.objs.Get(ev.Obj)
-	switch ev.Kind {
-	case trace.Load, trace.Store:
-		r.clock++
-		var base addrspace.Addr
-		if in.Category == object.Heap {
-			base = r.heapAddr[ev.Obj]
-		} else {
-			base = r.lay.Addr(in)
-		}
-		addr := base + addrspace.Addr(ev.Off)
-		if ev.Kind == trace.Store {
-			r.sim.Write(addr, ev.Size, in.Category, ev.Obj)
-		} else {
-			r.sim.Access(addr, ev.Size, in.Category, ev.Obj)
-		}
-		if r.pages != nil {
-			r.pages.Touch(addr, ev.Size)
-		}
-	case trace.Alloc:
-		addr := r.alloc.Alloc(ev.Size, in.XORName, r.clock)
-		for int(ev.Obj) >= len(r.heapAddr) {
-			r.heapAddr = append(r.heapAddr, 0)
-		}
-		r.heapAddr[ev.Obj] = addr
-	case trace.Free:
-		r.alloc.Free(r.heapAddr[ev.Obj], in.Size, r.clock)
-	}
 }

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/hierarchy"
 	"repro/internal/object"
+	"repro/internal/placement"
 	"repro/internal/workload"
 )
 
@@ -21,12 +23,47 @@ func quickTestInput(w workload.Workload, frac float64) workload.Input {
 	return in
 }
 
+// profileLive profiles w's input from a live run of the model.
+func profileLive(w workload.Workload, in workload.Input, opts Options) (*ProfileResult, error) {
+	return ProfileFrom(Live(w, in, opts), opts)
+}
+
+// countLive counts the references of a live run, off the metrics books.
+func countLive(w workload.Workload, in workload.Input, opts Options) uint64 {
+	opts.Metrics = nil
+	n, _ := CountRefsFrom(Live(w, in, opts)) // a live run cannot fail
+	return n
+}
+
+// evalLive evaluates one layout over a live run, counting the input's
+// references first when paging is tracked.
+func evalLive(w workload.Workload, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options) (*EvalResult, error) {
+	var hint uint64
+	if opts.TrackPages {
+		hint = countLive(w, in, opts)
+	}
+	return EvalFrom(Live(w, in, opts), w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, hint)
+}
+
+// hierLive evaluates one layout through a hierarchy over a live run.
+func hierLive(w workload.Workload, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, hcfg hierarchy.Config, opts Options) (*HierarchyResult, error) {
+	p := Pass{
+		Workload: w.Name(), HeapPlace: w.HeapPlacement(), Input: in, Layouts: []LayoutKind{kind},
+		Hierarchy: &hcfg, Profile: pr, Placement: pm, Options: opts,
+	}
+	res, err := p.Run(context.Background(), Live(w, in, opts), 1)
+	if err != nil {
+		return nil, err
+	}
+	return res.Hiers[0], nil
+}
+
 func TestProfilePassProducesProfile(t *testing.T) {
 	w, err := workload.Get("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := ProfilePass(w, quickInput(w, 0.05), DefaultOptions())
+	pr, err := profileLive(w, quickInput(w, 0.05), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +80,7 @@ func TestProfilePassProducesProfile(t *testing.T) {
 
 func TestEvalPassNatural(t *testing.T) {
 	w, _ := workload.Get("compress")
-	res, err := EvalPass(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions(), 0)
+	res, err := evalLive(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +95,11 @@ func TestEvalPassNatural(t *testing.T) {
 func TestEvalPassDeterministic(t *testing.T) {
 	w, _ := workload.Get("espresso")
 	in := quickInput(w, 0.05)
-	r1, err := EvalPass(w, in, LayoutNatural, nil, nil, DefaultOptions(), 0)
+	r1, err := evalLive(w, in, LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := EvalPass(w, in, LayoutNatural, nil, nil, DefaultOptions(), 0)
+	r2, err := evalLive(w, in, LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +111,14 @@ func TestEvalPassDeterministic(t *testing.T) {
 
 func TestEvalPassCCDPRequiresProfile(t *testing.T) {
 	w, _ := workload.Get("compress")
-	if _, err := EvalPass(w, quickInput(w, 0.01), LayoutCCDP, nil, nil, DefaultOptions(), 0); err == nil {
+	if _, err := evalLive(w, quickInput(w, 0.01), LayoutCCDP, nil, nil, DefaultOptions()); err == nil {
 		t.Fatal("CCDP evaluation without a profile did not error")
 	}
 }
 
 func TestEvalPassUnknownLayout(t *testing.T) {
 	w, _ := workload.Get("compress")
-	if _, err := EvalPass(w, quickInput(w, 0.01), LayoutKind("bogus"), nil, nil, DefaultOptions(), 0); err == nil {
+	if _, err := evalLive(w, quickInput(w, 0.01), LayoutKind("bogus"), nil, nil, DefaultOptions()); err == nil {
 		t.Fatal("unknown layout accepted")
 	}
 }
@@ -90,13 +127,13 @@ func TestCountRefsMatchesEval(t *testing.T) {
 	w, _ := workload.Get("fpppp")
 	in := quickInput(w, 0.05)
 	opts := DefaultOptions()
-	n := CountRefs(w, in, opts)
-	res, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+	n := countLive(w, in, opts)
+	res, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != res.Counter.Refs() {
-		t.Fatalf("CountRefs %d != eval refs %d", n, res.Counter.Refs())
+		t.Fatalf("CountRefsFrom %d != eval refs %d", n, res.Counter.Refs())
 	}
 }
 
@@ -106,7 +143,7 @@ func TestFullPipelineImprovesConflictWorkload(t *testing.T) {
 	w, _ := workload.Get("m88ksim")
 	opts := DefaultOptions()
 	in := quickInput(w, 0.3)
-	pr, err := ProfilePass(w, in, opts)
+	pr, err := profileLive(w, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +151,11 @@ func TestFullPipelineImprovesConflictWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+	nat, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+	ccdp, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +173,7 @@ func TestMgridPlacementNeutral(t *testing.T) {
 	w, _ := workload.Get("mgrid")
 	opts := DefaultOptions()
 	in := quickInput(w, 0.2)
-	pr, err := ProfilePass(w, in, opts)
+	pr, err := profileLive(w, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +181,8 @@ func TestMgridPlacementNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, _ := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
-	ccdp, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+	nat, _ := evalLive(w, in, LayoutNatural, nil, nil, opts)
+	ccdp, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +197,7 @@ func TestCrossInputPlacement(t *testing.T) {
 	// experiment. The placement must transfer.
 	w, _ := workload.Get("compress")
 	opts := DefaultOptions()
-	pr, err := ProfilePass(w, quickInput(w, 0.3), opts)
+	pr, err := profileLive(w, quickInput(w, 0.3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +206,8 @@ func TestCrossInputPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	testIn := quickTestInput(w, 0.3)
-	nat, _ := EvalPass(w, testIn, LayoutNatural, nil, nil, opts, 0)
-	ccdp, err := EvalPass(w, testIn, LayoutCCDP, pr, pm, opts, 0)
+	nat, _ := evalLive(w, testIn, LayoutNatural, nil, nil, opts)
+	ccdp, err := evalLive(w, testIn, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +223,7 @@ func TestHeapPlacementRespectsWorkloadFlag(t *testing.T) {
 	w, _ := workload.Get("compress") // HeapPlacement() == false
 	opts := DefaultOptions()
 	opts.Placement.HeapPlacement = true
-	pr, err := ProfilePass(w, quickInput(w, 0.02), opts)
+	pr, err := profileLive(w, quickInput(w, 0.02), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +240,7 @@ func TestTrackPagesPopulatesPaging(t *testing.T) {
 	w, _ := workload.Get("espresso")
 	opts := DefaultOptions()
 	opts.TrackPages = true
-	res, err := EvalPass(w, quickInput(w, 0.05), LayoutNatural, nil, nil, opts, 0)
+	res, err := evalLive(w, quickInput(w, 0.05), LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +254,7 @@ func TestTrackPagesPopulatesPaging(t *testing.T) {
 
 func TestCategoryRatesSumToTotal(t *testing.T) {
 	w, _ := workload.Get("gcc")
-	res, err := EvalPass(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions(), 0)
+	res, err := evalLive(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +269,7 @@ func TestCategoryRatesSumToTotal(t *testing.T) {
 
 func TestObjectStatsCoverHeapObjects(t *testing.T) {
 	w, _ := workload.Get("deltablue")
-	res, err := EvalPass(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions(), 0)
+	res, err := evalLive(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +288,7 @@ func TestEvalHierarchy(t *testing.T) {
 	w, _ := workload.Get("m88ksim")
 	opts := DefaultOptions()
 	in := quickInput(w, 0.1)
-	pr, err := ProfilePass(w, in, opts)
+	pr, err := profileLive(w, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +297,11 @@ func TestEvalHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	hcfg := hierarchy.DefaultConfig()
-	nat, err := EvalHierarchy(w, in, LayoutNatural, nil, nil, hcfg, opts)
+	nat, err := hierLive(w, in, LayoutNatural, nil, nil, hcfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := EvalHierarchy(w, in, LayoutCCDP, pr, pm, hcfg, opts)
+	ccdp, err := hierLive(w, in, LayoutCCDP, pr, pm, hcfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +317,7 @@ func TestEvalHierarchy(t *testing.T) {
 			ccdp.Stats.L1.MissRate(), nat.Stats.L1.MissRate())
 	}
 	// Requesting CCDP without artifacts must error.
-	if _, err := EvalHierarchy(w, in, LayoutCCDP, nil, nil, hcfg, opts); err == nil {
+	if _, err := hierLive(w, in, LayoutCCDP, nil, nil, hcfg, opts); err == nil {
 		t.Fatal("hierarchy CCDP without profile accepted")
 	}
 }
@@ -294,7 +331,7 @@ func TestAssociativeTargetPipeline(t *testing.T) {
 	opts.Cache = cache.Config{Size: 8192, BlockSize: 32, Assoc: 2}
 	opts.Placement.Cache = opts.Cache
 	in := quickInput(w, 0.2)
-	pr, err := ProfilePass(w, in, opts)
+	pr, err := profileLive(w, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +342,11 @@ func TestAssociativeTargetPipeline(t *testing.T) {
 	if pm.Period() != 4096 {
 		t.Fatalf("period %d, want 4096 for a 2-way 8K target", pm.Period())
 	}
-	nat, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+	nat, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+	ccdp, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

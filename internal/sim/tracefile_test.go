@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/trace"
@@ -23,9 +24,19 @@ func recordSmallTrace(t *testing.T, name string, frac float64) (*bytes.Buffer, w
 	return &buf, w, in
 }
 
+// openRaw opens an in-memory trace as a replay stream.
+func openRaw(t *testing.T, raw []byte, opts Options) EventStream {
+	t.Helper()
+	src, err := OpenReplay(bytes.NewReader(raw), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 func TestRecordedTraceReplaysIdenticalCounts(t *testing.T) {
 	buf, w, in := recordSmallTrace(t, "espresso", 0.05)
-	live := CountRefs(w, in, DefaultOptions())
+	live := countLive(w, in, DefaultOptions())
 
 	tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -44,11 +55,11 @@ func TestProfileFromTraceMatchesLiveProfile(t *testing.T) {
 	buf, w, in := recordSmallTrace(t, "compress", 0.05)
 	opts := DefaultOptions()
 
-	livePr, err := ProfilePass(w, in, opts)
+	livePr, err := profileLive(w, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracePr, err := ProfileFromTrace(bytes.NewReader(buf.Bytes()), opts)
+	tracePr, err := ProfileFrom(openRaw(t, buf.Bytes(), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +79,11 @@ func TestEvalFromTraceMatchesLiveEval(t *testing.T) {
 	buf, w, in := recordSmallTrace(t, "m88ksim", 0.05)
 	opts := DefaultOptions()
 
-	live, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+	live, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := EvalFromTrace(bytes.NewReader(buf.Bytes()), LayoutNatural, nil, nil, false, opts)
+	replayed, err := EvalFrom(openRaw(t, buf.Bytes(), opts), "", false, workload.Input{}, LayoutNatural, nil, nil, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +96,13 @@ func TestEvalFromTraceMatchesLiveEval(t *testing.T) {
 
 func TestFullPipelineFromTrace(t *testing.T) {
 	// Record once, then do everything from the file: profile, place,
-	// evaluate both layouts — the paper's offline toolchain shape.
+	// evaluate both layouts in one decode — the paper's offline toolchain
+	// shape.
 	buf, w, in := recordSmallTrace(t, "compress", 0.1)
 	opts := DefaultOptions()
 	raw := buf.Bytes()
 
-	pr, err := ProfileFromTrace(bytes.NewReader(raw), opts)
+	pr, err := ProfileFrom(openRaw(t, raw, opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,21 +110,21 @@ func TestFullPipelineFromTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := EvalFromTrace(bytes.NewReader(raw), LayoutNatural, nil, nil, false, opts)
+	both, err := Pass{
+		HeapPlace: w.HeapPlacement(), Layouts: []LayoutKind{LayoutNatural, LayoutCCDP},
+		Profile: pr, Placement: pm, Options: opts,
+	}.Run(context.Background(), openRaw(t, raw, opts), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := EvalFromTrace(bytes.NewReader(raw), LayoutCCDP, pr, pm, w.HeapPlacement(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nat, ccdp := both.Evals[0], both.Evals[1]
 	if ccdp.MissRate() >= nat.MissRate() {
 		t.Fatalf("trace-driven CCDP %.2f%% did not beat natural %.2f%%",
 			ccdp.MissRate(), nat.MissRate())
 	}
 
 	// And it must agree exactly with the live pipeline.
-	liveCCDP, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+	liveCCDP, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestTraceStoreOpenRoundTrip(t *testing.T) {
 	mc := metrics.New()
 	ts := NewTraceStore(TraceConfig{Dir: t.TempDir()}, w, mc)
 
-	live := CountRefs(w, in, opts)
+	live := countLive(w, in, opts)
 	for _, pass := range []string{"record", "replay"} {
 		src, err := ts.Open(in, opts)
 		if err != nil {

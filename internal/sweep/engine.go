@@ -5,15 +5,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/addrspace"
-	"repro/internal/cache"
 	"repro/internal/exec"
-	"repro/internal/heapsim"
-	"repro/internal/hierarchy"
-	"repro/internal/layout"
 	"repro/internal/metrics"
 	"repro/internal/object"
 	"repro/internal/placement"
@@ -23,16 +17,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// batchSize is how many enriched events one broadcast batch carries.
-// Large enough that per-batch synchronization (one channel send per
-// worker, one atomic decrement per worker) is noise against the
-// simulation work; small enough that the in-flight window stays cheap.
-const batchSize = 4096
-
-// streamDepth is the per-worker batch-channel depth: how far the shared
-// decoder may run ahead of the slowest evaluator before backpressure.
-const streamDepth = 8
 
 // Request describes one sweep: a workload's stored trace replayed
 // through every cell of a grid. Train profiles, test evaluates —
@@ -427,126 +411,6 @@ func (p *Prep) open(in workload.Input, opts sim.Options) (sim.EventStream, error
 	return sim.OpenReplay(bytes.NewReader(buf), opts)
 }
 
-// rec is one decoder-enriched event: everything a layout group needs,
-// resolved against the (mutating) object table at decode time so the
-// evaluators never touch shared mutable state. For Load/Store, cat
-// and size describe the access; for Alloc, size is the allocation
-// length and xor the object's XOR name; for Free, size is the freed
-// object's recorded size (what the resolver reads from the table).
-type rec struct {
-	kind trace.Kind
-	cat  object.Category
-	obj  object.ID
-	off  int64
-	size int64
-	xor  uint64
-}
-
-// batch is one broadcast unit: a run of recs plus the refcount the last
-// worker uses to recycle it.
-type batch struct {
-	recs    []rec
-	pending atomic.Int32
-}
-
-// collector is the decoder-side enricher: a trace handler that tallies
-// the shared counter, converts events to recs, and broadcasts full
-// batches. It also measures decode time as the gaps between its
-// callbacks — time spent in the reader and emitter, not in simulation.
-type collector struct {
-	objs    *object.Table
-	counter *trace.Counter
-	st      *exec.Stream[*batch]
-	fl      *exec.FreeList[*batch]
-	cur     *batch
-	workers int32
-	ctx     context.Context
-
-	// aborted flips when ctx is cancelled mid-replay: enrichment and
-	// broadcasting stop so the rest of the decode drains as a no-op
-	// (Drive has no abort seam), and RunShared returns the context error
-	// instead of a result.
-	aborted bool
-
-	batches     uint64
-	events      uint64
-	decodeNanos int64
-	lastExit    time.Time
-
-	// onBatch, when non-nil, observes each broadcast batch boundary with
-	// the cumulative batch and event counts.
-	onBatch func(batches, events uint64)
-}
-
-func (c *collector) enter() {
-	c.decodeNanos += time.Since(c.lastExit).Nanoseconds()
-}
-
-func (c *collector) exit() { c.lastExit = time.Now() }
-
-func (c *collector) HandleEvent(ev trace.Event) {
-	c.enter()
-	c.add(ev)
-	c.exit()
-}
-
-func (c *collector) HandleBatch(evs []trace.Event) {
-	c.enter()
-	for i := range evs {
-		c.add(evs[i])
-	}
-	c.exit()
-}
-
-func (c *collector) add(ev trace.Event) {
-	if c.aborted {
-		return
-	}
-	c.counter.HandleEvent(ev)
-	c.events++
-	r := rec{kind: ev.Kind, obj: ev.Obj, off: ev.Off}
-	in := c.objs.Get(ev.Obj)
-	switch ev.Kind {
-	case trace.Load, trace.Store:
-		r.cat = in.Category
-		r.size = ev.Size
-	case trace.Alloc:
-		r.size = ev.Size
-		r.xor = in.XORName
-	case trace.Free:
-		r.size = in.Size
-	}
-	c.cur.recs = append(c.cur.recs, r)
-	if len(c.cur.recs) >= batchSize {
-		c.flush()
-	}
-}
-
-func (c *collector) flush() {
-	if c.aborted || len(c.cur.recs) == 0 {
-		return
-	}
-	if c.ctx.Err() != nil {
-		c.aborted = true
-		c.cur.recs = c.cur.recs[:0]
-		return
-	}
-	c.cur.pending.Store(c.workers)
-	c.st.Send(c.cur)
-	c.batches++
-	c.cur = c.fl.Get()
-	if c.onBatch != nil {
-		c.onBatch(c.batches, c.events)
-	}
-}
-
-// profBatch is the train-side broadcast unit: enriched profile records
-// plus the refcount the last builder uses to recycle it.
-type profBatch struct {
-	recs    []profile.Rec
-	pending atomic.Int32
-}
-
 // profCollector is the decoder side of the multi-profile pass: one replay
 // of the train trace is enriched with per-object Info snapshots (taken at
 // first appearance — every field binding reads is fixed at insertion) and
@@ -556,11 +420,7 @@ type profCollector struct {
 	objs    *object.Table
 	infos   []*object.Info
 	counter *trace.Counter
-	st      *exec.Stream[*profBatch]
-	fl      *exec.FreeList[*profBatch]
-	cur     *profBatch
-	workers int32
-	batches uint64
+	out     *exec.Broadcast[profile.Rec]
 }
 
 func (c *profCollector) HandleEvent(ev trace.Event) { c.add(ev) }
@@ -589,20 +449,9 @@ func (c *profCollector) add(ev trace.Event) {
 	case trace.Free:
 		r.Size = in.Size
 	}
-	c.cur.recs = append(c.cur.recs, r)
-	if len(c.cur.recs) >= batchSize {
-		c.flush()
+	if c.out.Add(r) {
+		c.out.Flush()
 	}
-}
-
-func (c *profCollector) flush() {
-	if len(c.cur.recs) == 0 {
-		return
-	}
-	c.cur.pending.Store(c.workers)
-	c.st.Send(c.cur)
-	c.batches++
-	c.cur = c.fl.Get()
 }
 
 // broadcastProfiles builds every demanded profile config in one decode of
@@ -644,27 +493,12 @@ func (p *Prep) broadcastProfiles(keys []string, optsFor map[string]sim.Options, 
 		builders[i] = b
 	}
 
-	fl := exec.NewFreeList(streamDepth+4, func() *profBatch {
-		return &profBatch{recs: make([]profile.Rec, 0, batchSize)}
+	bc := exec.NewBroadcast(len(keys), func(w int, recs []profile.Rec) {
+		builders[w].HandleRecs(recs)
 	})
-	st := exec.NewStream(len(keys), streamDepth, func(w int, b *profBatch) {
-		builders[w].HandleRecs(b.recs)
-		if b.pending.Add(-1) == 0 {
-			b.recs = b.recs[:0]
-			fl.Put(b)
-		}
-	})
-	col := &profCollector{
-		objs:    table,
-		counter: counter,
-		st:      st,
-		fl:      fl,
-		cur:     fl.Get(),
-		workers: int32(len(keys)),
-	}
-	driveErr := src.Drive(col)
-	col.flush()
-	st.Close()
+	driveErr := src.Drive(&profCollector{objs: table, counter: counter, out: bc})
+	bc.Flush()
+	bc.Close()
 	for i, k := range keys {
 		// Finish even on error so the builders drain.
 		prof := builders[i].Finish()
@@ -678,85 +512,20 @@ func (p *Prep) broadcastProfiles(keys []string, optsFor map[string]sim.Options, 
 	return out, nil
 }
 
-// accessor is the common face of cache.Sim and hierarchy.Sim.
-type accessor interface {
-	Access(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int
-	Write(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int
-}
-
-// memberSim is one cell's private simulator inside a layout group.
-type memberSim struct {
-	cell int
-	sim  accessor
-	cs   *cache.Sim     // set for single-level cells
-	hs   *hierarchy.Sim // set for hierarchy cells
-	g    *layoutGroup
-}
-
-// layoutGroup owns one effective layout: the resolved address space
-// (static addresses, heap allocator, clock) shared by every member cell,
-// so a rec's address is computed once per group and fanned to the member
-// simulators. process replicates sim's resolver event loop exactly —
-// same clock discipline (ticks on Load/Store only), same heap address
-// table growth, same free semantics — which, together with the identity
-// of the grouping key (layout kind, placement, allocator variant, seed),
-// makes every member byte-identical to an independent replay.
+// layoutGroup is one effective layout of the grid: a kernel group (the
+// address space every member cell shares) plus the prep wiring a CCDP
+// group needs before its layout can be carved. Cells with equal group
+// keys (layout kind, placement, allocator variant, seed) resolve every
+// event to the same address, so each member is byte-identical to an
+// independent replay.
 type layoutGroup struct {
-	alloc      heapsim.Allocator
-	staticAddr []addrspace.Addr
-	heapAddr   []addrspace.Addr
-	clock      uint64
-	members    []*memberSim
+	*sim.Group
 
 	// prep wiring for CCDP groups; zero for natural/random groups.
 	profKey  string
 	placeKey string
 	opts     sim.Options
 	layout   sim.LayoutKind
-}
-
-func (g *layoutGroup) process(recs []rec) {
-	for i := range recs {
-		r := &recs[i]
-		switch r.kind {
-		case trace.Load, trace.Store:
-			g.clock++
-			var base addrspace.Addr
-			if r.cat == object.Heap {
-				base = g.heapAddr[r.obj]
-			} else {
-				base = g.staticAddr[r.obj]
-			}
-			addr := base + addrspace.Addr(r.off)
-			if r.kind == trace.Store {
-				for _, m := range g.members {
-					m.sim.Write(addr, r.size, r.cat, r.obj)
-				}
-			} else {
-				for _, m := range g.members {
-					m.sim.Access(addr, r.size, r.cat, r.obj)
-				}
-			}
-		case trace.Alloc:
-			addr := g.alloc.Alloc(r.size, r.xor, g.clock)
-			for int(r.obj) >= len(g.heapAddr) {
-				g.heapAddr = append(g.heapAddr, 0)
-			}
-			g.heapAddr[r.obj] = addr
-		case trace.Free:
-			g.alloc.Free(g.heapAddr[r.obj], r.size, g.clock)
-		}
-	}
-}
-
-// fillStatic resolves every static object's address once for the group.
-func (g *layoutGroup) fillStatic(table *object.Table, lay *layout.Layout) {
-	g.staticAddr = make([]addrspace.Addr, table.Len())
-	table.ForEach(func(in *object.Info) {
-		if in.Category != object.Heap {
-			g.staticAddr[in.ID] = lay.Addr(in)
-		}
-	})
 }
 
 // fitName normalizes the heap-fit axis value for group keying.
@@ -815,7 +584,7 @@ func (a *prepStats) release(n int64) { a.cur -= n }
 // released behind their groups (CCDP-with-heap-placement groups keep the
 // placement map alive inside the custom allocator). Peak resident prep
 // bytes are the high-water mark of that schedule.
-func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, []*memberSim, *prepStats, error) {
+func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*sim.Group, []*sim.Member, *prepStats, error) {
 	mc := p.req.Options.Metrics
 	acct := &prepStats{}
 	prepStart := time.Now()
@@ -824,14 +593,15 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 	defer func() { acct.nanos = time.Since(prepStart).Nanoseconds() }()
 
 	var groups []*layoutGroup
+	var simGroups []*sim.Group // groups' kernel groups, in the same order
 	byKey := map[string]*layoutGroup{}
-	memberOf := make([]*memberSim, len(p.cells))
+	memberOf := make([]*sim.Member, len(p.cells))
 	for i, cell := range p.cells {
 		opts := p.cellOpts[i]
 		key := p.groupKey(cell)
 		g := byKey[key]
 		if g == nil {
-			g = &layoutGroup{opts: opts, layout: cell.Layout}
+			g = &layoutGroup{Group: &sim.Group{}, opts: opts, layout: cell.Layout}
 			if cell.Layout == sim.LayoutCCDP {
 				g.profKey = cell.profileKey(p.req.Options)
 				g.placeKey = cell.placementKey(p.req.Options)
@@ -840,36 +610,16 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 				if err != nil {
 					return nil, nil, nil, fmt.Errorf("sweep: cell %d (%s): %w", i, cell.Label(), err)
 				}
-				g.alloc = alloc
-				g.fillStatic(table, lay)
+				g.SetLayout(table, lay, alloc)
 			}
 			byKey[key] = g
 			groups = append(groups, g)
+			simGroups = append(simGroups, g.Group)
 		}
-		m := &memberSim{cell: i, g: g}
-		if cell.L2 == nil {
-			cs, err := cache.New(opts.Cache, opts.Classify)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("sweep: cell %d (%s): %w", i, cell.Label(), err)
-			}
-			if opts.Attribution {
-				cs.SetAttribution(cache.NewAttribution(opts.Cache, opts.AttributionPairs))
-			}
-			cs.PresizeObjects(table.Len())
-			m.cs, m.sim = cs, cs
-		} else {
-			hcfg := hierarchy.Config{L1: cell.Cache, L2: *cell.L2, TLBEntries: cell.TLB}
-			hs, err := hierarchy.New(hcfg)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("sweep: cell %d (%s): %w", i, cell.Label(), err)
-			}
-			if opts.Attribution {
-				hs.SetAttribution(cache.NewAttribution(hcfg.L1, opts.AttributionPairs))
-			}
-			hs.PresizeObjects(table.Len())
-			m.hs, m.sim = hs, hs
+		m, err := g.NewMember(opts, cell.hierarchy(), table.Len())
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("sweep: cell %d (%s): %w", i, cell.Label(), err)
 		}
-		g.members = append(g.members, m)
 		memberOf[i] = m
 	}
 
@@ -892,17 +642,21 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 	var profKeys []string
 	profGroups := map[string][]*layoutGroup{}
 	optsFor := map[string]sim.Options{}
-	demand := 0
 	for _, g := range groups {
 		if g.profKey == "" {
 			continue
 		}
-		demand += len(g.members)
 		if _, ok := profGroups[g.profKey]; !ok {
 			profKeys = append(profKeys, g.profKey)
 			optsFor[g.profKey] = g.opts
 		}
 		profGroups[g.profKey] = append(profGroups[g.profKey], g)
+	}
+	demand := 0 // every CCDP cell demands a profile
+	for _, c := range p.cells {
+		if c.Layout == sim.LayoutCCDP {
+			demand++
+		}
 	}
 	acct.broadcast = len(profKeys)
 	acct.deduped = demand - len(profKeys)
@@ -954,8 +708,7 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 				if err != nil {
 					return nil, nil, nil, fmt.Errorf("sweep: layout %s: %w", k, err)
 				}
-				g.alloc = alloc
-				g.fillStatic(table, lay)
+				g.SetLayout(table, lay, alloc)
 				p.progress(func(pr *Progress) { pr.GroupsDone++ })
 			}
 			if !p.heapPlace {
@@ -967,7 +720,7 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 		// Every dependent layout is carved: the profile retires.
 		acct.release(profSize[pk])
 	}
-	return groups, memberOf, acct, nil
+	return simGroups, memberOf, acct, nil
 }
 
 // RunShared executes the sweep on the decode-once/eval-many engine: prep
@@ -998,51 +751,15 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 	table := src.Objects()
 
 	// Layouts and static addresses depend only on the static objects the
-	// trace header declares, exactly as sim.EvalFrom builds them before
-	// the first event.
+	// trace header declares, so groups are carved before the first event.
 	groups, memberOf, acct, err := p.buildGroups(table, parallel)
 	if err != nil {
 		return nil, err
 	}
 
-	workers := parallel
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	// Contiguous group ranges per worker: worker w evaluates
-	// [w*per, min((w+1)*per, n)).
-	per := (len(groups) + workers - 1) / workers
-
-	fl := exec.NewFreeList(streamDepth+4, func() *batch {
-		return &batch{recs: make([]rec, 0, batchSize)}
-	})
-	st := exec.NewStream(workers, streamDepth, func(w int, b *batch) {
-		lo, hi := w*per, (w+1)*per
-		if hi > len(groups) {
-			hi = len(groups)
-		}
-		for i := lo; i < hi; i++ {
-			groups[i].process(b.recs)
-		}
-		if b.pending.Add(-1) == 0 {
-			b.recs = b.recs[:0]
-			fl.Put(b)
-		}
-	})
-
-	counter := trace.NewCounter(table)
-	col := &collector{
-		objs:     table,
-		counter:  counter,
-		st:       st,
-		fl:       fl,
-		cur:      fl.Get(),
-		workers:  int32(workers),
-		ctx:      ctx,
-		lastExit: time.Now(),
-	}
+	var onBatch func(batches, events uint64)
 	if p.req.OnProgress != nil {
-		col.onBatch = func(batches, events uint64) {
+		onBatch = func(batches, events uint64) {
 			p.progress(func(pr *Progress) {
 				pr.Phase = "replay"
 				pr.Batches = batches
@@ -1050,14 +767,9 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 			})
 		}
 	}
-	driveErr := src.Drive(col)
-	col.flush()
-	st.Close()
-	if driveErr != nil {
-		return nil, driveErr
-	}
-	if col.aborted {
-		return nil, fmt.Errorf("sweep: %s replay cancelled: %w", p.req.Test.Label, ctx.Err())
+	rp, err := sim.RunGroups(ctx, src, groups, parallel, onBatch)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %s replay: %w", p.req.Test.Label, err)
 	}
 
 	res := &Result{
@@ -1065,9 +777,9 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 		Input:             p.req.Test.Label,
 		Cells:             make([]CellResult, len(p.cells)),
 		WallNanos:         time.Since(start).Nanoseconds(),
-		DecodeNanos:       col.decodeNanos,
-		Batches:           col.batches,
-		Events:            col.events,
+		DecodeNanos:       rp.DecodeNanos,
+		Batches:           rp.Batches,
+		Events:            rp.Events,
 		Shared:            true,
 		PrepNanos:         acct.nanos,
 		PeakPrepBytes:     acct.peak,
@@ -1077,26 +789,8 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 		Groups:            len(groups),
 	}
 	for i, cell := range p.cells {
-		m := memberOf[i]
 		cr := CellResult{Cell: cell}
-		if m.cs != nil {
-			er := &sim.EvalResult{
-				Layout:  cell.Layout,
-				Stats:   m.cs.Stats(),
-				Counter: counter,
-				Objects: table,
-			}
-			er.ObjRefs, er.ObjMisses = m.cs.ObjectStats()
-			er.Attribution = m.cs.Attribution().Stats()
-			er.AllocStats = m.g.alloc.Stats()
-			cr.Eval = er
-		} else {
-			cr.Hier = &sim.HierarchyResult{
-				Layout:      cell.Layout,
-				Stats:       m.hs.Stats(),
-				Attribution: m.hs.Attribution().Stats(),
-			}
-		}
+		cr.Eval, cr.Hier = memberOf[i].Result(cell.Layout, rp)
 		res.Cells[i] = cr
 		p.progress(func(pr *Progress) {
 			pr.Phase = "replay"
@@ -1104,7 +798,7 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 		})
 	}
 	mc.Add(metrics.SweepCells, uint64(len(p.cells)))
-	mc.Add(metrics.SweepBatches, col.batches)
+	mc.Add(metrics.SweepBatches, rp.Batches)
 	mc.Add(metrics.SweepLayoutGroups, uint64(len(groups)))
 	mc.Add(metrics.SweepProfilesBroadcast, uint64(acct.broadcast))
 	mc.Add(metrics.SweepProfilesDeduped, uint64(acct.deduped))
@@ -1114,8 +808,8 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 
 // RunIndependent executes the same sweep the pre-engine way: prep is
 // materialized in full (every profile and placement resident at once),
-// then every cell replays and decodes the trace for itself
-// (sim.EvalFrom / sim.EvalHierarchyFrom over its own stream), fanned
+// then every cell replays and decodes the trace for itself (a
+// one-layout sim.Pass over its own stream), fanned
 // across parallel workers. This is the baseline the shared engine's
 // speedup is measured against — prep included on both sides — and the
 // oracle its results are diffed against.
@@ -1139,17 +833,22 @@ func (p *Prep) RunIndependent(parallel int) (*Result, error) {
 			if err != nil {
 				return CellResult{}, err
 			}
+			pass := sim.Pass{
+				HeapPlace: p.heapPlace, Layouts: []sim.LayoutKind{cell.Layout}, Hierarchy: cell.hierarchy(),
+				Profile: p.prs[i], Placement: p.pms[i], Options: opts,
+			}
+			res, err := pass.Run(ctx, src, 1)
+			if err != nil {
+				return CellResult{}, err
+			}
 			cr := CellResult{Cell: cell}
 			if cell.L2 == nil {
-				cr.Eval, err = sim.EvalFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[i], p.pms[i], opts, 0)
+				cr.Eval = res.Evals[0]
 			} else {
-				hcfg := hierarchy.Config{L1: cell.Cache, L2: *cell.L2, TLBEntries: cell.TLB}
-				cr.Hier, err = sim.EvalHierarchyFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[i], p.pms[i], hcfg, opts)
+				cr.Hier = res.Hiers[0]
 			}
-			if err == nil {
-				p.progress(func(pr *Progress) { pr.CellsDone++ })
-			}
-			return cr, err
+			p.progress(func(pr *Progress) { pr.CellsDone++ })
+			return cr, nil
 		}
 	}
 	cells, err := exec.Map(p.ctx(), parallel, mc, tasks)

@@ -2,23 +2,25 @@
 // through a grid of configurations — cache geometry, profiling chunk
 // size, recency-queue threshold, placement-policy variant, and optional
 // L1+L2+TLB hierarchy points — while decoding the trace exactly once.
-// The decoder enriches each event with the object-table facts a
-// simulator needs (category, allocation XOR name, freed-object size)
-// and broadcasts refcounted batches to per-configuration evaluators, so
-// N grid cells cost one decode plus N cheap simulation loops instead of
-// N full replays. Every cell's result is byte-identical to an
-// independent sim.EvalFromTrace run of the same configuration; the
-// differential tests hold the engine to that.
+// Cells sharing an effective layout become one group of sim's
+// evaluation kernel (sim.RunGroups), which enriches each decoded event
+// once and fans it to every group's member simulators, so N grid cells
+// cost one decode plus N cheap simulation loops instead of N full
+// replays. Every cell's result is byte-identical to an independent
+// sim.EvalFrom replay of the same configuration; the differential tests
+// hold the engine to that.
 package sweep
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/cache"
+	"repro/internal/hierarchy"
 	"repro/internal/profile"
 	"repro/internal/sim"
 )
@@ -148,6 +150,15 @@ func (c Cell) Label() string {
 	return b.String()
 }
 
+// hierarchy returns the cell's L1+L2+TLB configuration, or nil for a
+// single-level cell.
+func (c Cell) hierarchy() *hierarchy.Config {
+	if c.L2 == nil {
+		return nil
+	}
+	return &hierarchy.Config{L1: c.Cache, L2: *c.L2, TLBEntries: c.TLB}
+}
+
 // Bytes returns the cell's total cache capacity — the x axis of the
 // capacity-vs-miss-rate frontier. Hierarchy cells count L1+L2.
 func (c Cell) Bytes() int64 {
@@ -184,6 +195,23 @@ func (g Grid) withDefaults() Grid {
 		g.Heaps = []string{""}
 	}
 	return g
+}
+
+// NumCells is the size of the grid's cross product — len(Cells()) for a
+// valid grid — computed from the axis lengths alone, without expanding
+// anything, so a caller can cap a grid before paying for it. The product
+// saturates at math.MaxInt instead of overflowing.
+func (g Grid) NumCells() int {
+	g = g.withDefaults()
+	n := 1
+	for _, k := range []int{1 + len(g.L2), len(g.Sizes), len(g.Blocks), len(g.Assocs),
+		len(g.Chunks), len(g.Queues), len(g.Cutoffs), len(g.Layouts), len(g.Heaps)} {
+		if n > math.MaxInt/k {
+			return math.MaxInt
+		}
+		n *= k
+	}
+	return n
 }
 
 // Cells expands the grid into its cross product, hierarchy levels

@@ -8,16 +8,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
-	"repro/internal/exec"
 	"repro/internal/hierarchy"
 	"repro/internal/metrics"
-	"repro/internal/object"
 	"repro/internal/persist"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -81,10 +77,35 @@ func TestSharedMatchesIndependent(t *testing.T) {
 	}
 }
 
-// TestSharedMatchesEvalFromTrace holds the engine to the satellite's
-// letter: each single-level cell must byte-match a from-scratch
-// sim.EvalFromTrace over the raw trace bytes, and each hierarchy cell a
-// from-scratch sim.EvalHierarchyFrom, using the same prep products.
+// TestSharedUnevenGroupSplit runs a grid whose layout-group count does
+// not divide into the worker count — one natural group plus four CCDP
+// groups at parallel 4 — and holds it to the independent oracle.
+func TestSharedUnevenGroupSplit(t *testing.T) {
+	g := Grid{
+		Sizes:   []int64{2048, 4096, 8192, 16384},
+		Layouts: []string{"natural", "ccdp"},
+	}
+	p := mustPrep(t, smallRequest(t, "compress", 0.05, g))
+	shared, err := p.RunShared(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Groups != 5 {
+		t.Fatalf("layout groups = %d, want 5", shared.Groups)
+	}
+	ind, err := p.RunIndependent(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DiffResults(shared, ind); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSharedMatchesEvalFromTrace holds the engine to a from-scratch
+// replay of the raw trace bytes: each single-level cell must byte-match a
+// sim.EvalFrom, and each hierarchy cell a one-layout hierarchy sim.Pass,
+// using the same prep products.
 func TestSharedMatchesEvalFromTrace(t *testing.T) {
 	g := Grid{
 		Sizes:   []int64{8192},
@@ -101,30 +122,33 @@ func TestSharedMatchesEvalFromTrace(t *testing.T) {
 	}
 	for i, cell := range p.Cells() {
 		opts := p.cellOpts[i]
+		src, err := sim.OpenReplay(bytes.NewReader(p.testTrace), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if cell.L2 == nil {
-			oracle, err := sim.EvalFromTrace(bytes.NewReader(p.testTrace), cell.Layout, p.prs[i], p.pms[i], p.heapPlace, opts)
+			oracle, err := sim.EvalFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[i], p.pms[i], opts, 0)
 			if err != nil {
 				t.Fatalf("cell %d: %v", i, err)
 			}
 			got := sim.EncodeEvalResult(shared.Cells[i].Eval)
 			want := sim.EncodeEvalResult(oracle)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("cell %d (%s) diverged from EvalFromTrace:\n--- sweep ---\n%s--- oracle ---\n%s",
+				t.Fatalf("cell %d (%s) diverged from EvalFrom:\n--- sweep ---\n%s--- oracle ---\n%s",
 					i, cell.Label(), got, want)
 			}
 			continue
 		}
-		src, err := sim.OpenReplay(bytes.NewReader(p.testTrace), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		hcfg := hierarchy.Config{L1: cell.Cache, L2: *cell.L2, TLBEntries: cell.TLB}
-		oracle, err := sim.EvalHierarchyFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[i], p.pms[i], hcfg, opts)
+		oracle, err := sim.Pass{
+			HeapPlace: p.heapPlace, Layouts: []sim.LayoutKind{cell.Layout}, Hierarchy: &hcfg,
+			Profile: p.prs[i], Placement: p.pms[i], Options: opts,
+		}.Run(context.Background(), src, 1)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
 		got := sim.EncodeHierarchyResult(shared.Cells[i].Hier)
-		want := sim.EncodeHierarchyResult(oracle)
+		want := sim.EncodeHierarchyResult(oracle.Hiers[0])
 		if !bytes.Equal(got, want) {
 			t.Fatalf("hierarchy cell %d (%s) diverged:\n--- sweep ---\n%s--- oracle ---\n%s",
 				i, cell.Label(), got, want)
@@ -299,7 +323,11 @@ func TestAttributionIsolation(t *testing.T) {
 	}
 	opts := p.cellOpts[attributed]
 	cell := p.cells[attributed]
-	oracle, err := sim.EvalFromTrace(bytes.NewReader(p.testTrace), cell.Layout, p.prs[attributed], p.pms[attributed], p.heapPlace, opts)
+	src, err := sim.OpenReplay(bytes.NewReader(p.testTrace), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := sim.EvalFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[attributed], p.pms[attributed], opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,47 +570,28 @@ func TestRunSharedCancelled(t *testing.T) {
 	}
 }
 
-// TestCollectorAbortsMidReplay drives the shared-replay collector
-// directly: once its context is cancelled, already-buffered and
-// subsequent events must be dropped instead of broadcast (Drive has no
-// abort seam, so this is how a running sweep stops within one batch).
+// TestCollectorAbortsMidReplay cancels a shared run from inside its
+// first replay batch: the batches already handed out finish, but no
+// further batch may be broadcast (Drive has no abort seam, so this is
+// how a running sweep stops within one batch), and the run reports the
+// cancellation.
 func TestCollectorAbortsMidReplay(t *testing.T) {
+	g := Grid{Sizes: []int64{4096, 8192}, Layouts: []string{"natural", "ccdp"}}
+	req := smallRequest(t, "espresso", 0.05, g)
 	ctx, cancel := context.WithCancel(context.Background())
-	table := object.NewTable(4096)
-	fl := exec.NewFreeList(2, func() *batch { return &batch{recs: make([]rec, 0, batchSize)} })
-	var delivered atomic.Int32
-	st := exec.NewStream(1, 1, func(w int, b *batch) {
-		delivered.Add(1)
-		if b.pending.Add(-1) == 0 {
-			b.recs = b.recs[:0]
-			fl.Put(b)
+	req.Context = ctx
+	var batches atomic.Uint64
+	req.OnProgress = func(pr Progress) {
+		if pr.Batches > 0 {
+			batches.Store(pr.Batches)
+			cancel()
 		}
-	})
-	col := &collector{
-		objs:     table,
-		counter:  trace.NewCounter(table),
-		st:       st,
-		fl:       fl,
-		cur:      fl.Get(),
-		workers:  1,
-		ctx:      ctx,
-		lastExit: time.Now(),
 	}
-	ev := trace.Event{Kind: trace.Load, Obj: 0, Size: 4}
-	for i := 0; i < batchSize; i++ {
-		col.HandleEvent(ev) // exactly one full batch: broadcast
+	if _, err := mustPrep(t, req).RunShared(2); err == nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunShared cancelled mid-replay: err = %v, want context.Canceled", err)
 	}
-	cancel()
-	for i := 0; i < 2*batchSize; i++ {
-		col.HandleEvent(ev) // post-cancel events: dropped
-	}
-	col.flush()
-	st.Close()
-	if !col.aborted {
-		t.Fatal("collector did not abort after cancellation")
-	}
-	if got := delivered.Load(); got != 1 {
-		t.Fatalf("delivered %d batches, want only the pre-cancel one", got)
+	if got := batches.Load(); got != 1 {
+		t.Fatalf("broadcast %d batches, want only the pre-cancel one", got)
 	}
 }
 

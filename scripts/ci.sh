@@ -44,11 +44,13 @@ if [ "${1:-}" != "fast" ]; then
     echo "==> race (exec, profile, core, sim, sweep, store, trace, metrics, benchsuite, ledger, telemetry, server)"
     go test -race ./internal/exec/... ./internal/profile/... ./internal/core/... ./internal/sim/... ./internal/sweep/... ./internal/store/... ./internal/trace/... ./internal/metrics/... ./internal/benchsuite/... ./internal/ledger/... ./internal/telemetry/... ./internal/server/...
 
-    echo "==> fuzz smoke (persist, trace, store)"
+    echo "==> fuzz smoke (persist, trace, store, job requests, sweep axes)"
     go test -fuzz=FuzzReadProfile -fuzztime=15s ./internal/persist
     go test -fuzz=FuzzReadPlacement -fuzztime=15s ./internal/persist
     go test -run=NONE -fuzz=FuzzTraceReader -fuzztime=15s ./internal/trace
     go test -run=NONE -fuzz=FuzzFrameReader -fuzztime=15s ./internal/store
+    go test -run=NONE -fuzz=FuzzJobRequest -fuzztime=15s ./internal/server
+    go test -run=NONE -fuzz=FuzzParseAxes -fuzztime=15s ./internal/sweep
 fi
 
 echo "==> bench gate"
