@@ -217,6 +217,11 @@ const (
 	// HistRequestNanos sketches per-HTTP-request handler latency in
 	// nanoseconds on the placement service.
 	HistRequestNanos
+	// HistScanLen sketches the reuse-window length of every recency-queue
+	// hit during TRG construction: the number of distinct chunks touched
+	// since the previous touch of the hit chunk, i.e. the length of the
+	// edge scan that hit pays.
+	HistScanLen
 
 	NumHists int = iota
 )
@@ -228,6 +233,7 @@ var histNames = [NumHists]string{
 	HistQueueOccupancy: "queue_occupancy_bytes",
 	HistJobNanos:       "server.job_ns",
 	HistRequestNanos:   "server.request_ns",
+	HistScanLen:        "profile.scan_len",
 }
 
 // String returns the histogram's export name.
@@ -306,6 +312,21 @@ func (h *histogram) cumulative() []HistBucket {
 	return out
 }
 
+// LocalHist is a single-owner histogram buffer: a hot loop observes into
+// it without atomics and folds it into a Collector with FlushHist once
+// per batch. The zero value is empty.
+type LocalHist struct {
+	count, sum uint64
+	buckets    [numBuckets]uint64
+}
+
+// Observe records v.
+func (l *LocalHist) Observe(v uint64) {
+	l.count++
+	l.sum += v
+	l.buckets[bits.Len64(v)]++
+}
+
 // Collector gathers all pipeline metrics. The zero value is ready to use;
 // a nil *Collector is the disabled collector and every method no-ops.
 type Collector struct {
@@ -342,6 +363,25 @@ func (c *Collector) Observe(h Hist, v uint64) {
 		return
 	}
 	c.hists[h].observe(v)
+}
+
+// FlushHist adds the observations buffered in l to histogram h and
+// empties l. A nil collector discards them.
+func (c *Collector) FlushHist(h Hist, l *LocalHist) {
+	if l.count == 0 {
+		return
+	}
+	if c != nil {
+		dst := &c.hists[h]
+		dst.count.Add(l.count)
+		dst.sum.Add(l.sum)
+		for i, n := range l.buckets {
+			if n != 0 {
+				dst.buckets[i].Add(n)
+			}
+		}
+	}
+	*l = LocalHist{}
 }
 
 // Merge folds src's accumulated state into c: counters, histogram

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -338,5 +339,31 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 				t.Fatalf("section not sorted: %q before %q", section[i-1].Name, section[i].Name)
 			}
 		}
+	}
+}
+
+func TestFlushHistEqualsObserve(t *testing.T) {
+	direct, flushed := New(), New()
+	var l LocalHist
+	for i, v := range []uint64{0, 1, 7, 8, 300, 1 << 40, 5} {
+		direct.Observe(HistScanLen, v)
+		l.Observe(v)
+		if i == 3 {
+			flushed.FlushHist(HistScanLen, &l) // two flushes fold like one
+		}
+	}
+	flushed.FlushHist(HistScanLen, &l)
+	flushed.FlushHist(HistScanLen, &l) // empty: no-op
+	want, _ := direct.Snapshot().Hist(HistScanLen.String())
+	got, ok := flushed.Snapshot().Hist(HistScanLen.String())
+	if !ok || got.Count != want.Count || got.Sum != want.Sum || got.P90 != want.P90 ||
+		fmt.Sprint(got.Buckets) != fmt.Sprint(want.Buckets) {
+		t.Fatalf("flushed %+v, observed %+v", got, want)
+	}
+	var nilC *Collector
+	l.Observe(3)
+	nilC.FlushHist(HistScanLen, &l) // a disabled collector discards
+	if l != (LocalHist{}) {
+		t.Fatal("FlushHist left observations buffered")
 	}
 }

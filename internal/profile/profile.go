@@ -253,14 +253,17 @@ func (b *binder) noteAllocInfo(id object.ID, in *object.Info, nonUnique bool) {
 }
 
 // finishProfile creates nodes for declared-but-unreferenced globals and
-// constants (they still need placement slots), computes popularity, and
-// assembles the completed profile.
+// constants (they still need placement slots), settles the TRG counters
+// once from the symmetrized graph, computes popularity, and assembles the
+// completed profile.
 func (b *binder) finishProfile(cfg Config, refs uint64) *Profile {
 	b.objs.ForEach(func(in *object.Info) {
 		if in.Category == object.Global || in.Category == object.Constant {
 			b.nodeFor(in.ID)
 		}
 	})
+	cfg.Metrics.Add(metrics.TRGEdges, uint64(b.graph.NumEdges()))
+	cfg.Metrics.Add(metrics.TRGWeight, b.graph.TotalWeight())
 	b.graph.Finalize(cfg.PopularityCutoff)
 	return &Profile{
 		Config:    cfg,
@@ -288,8 +291,7 @@ func New(cfg Config, objs *object.Table) (*Profiler, error) {
 	}
 	p := &Profiler{cfg: cfg}
 	p.binder.init(objs, trg.NewGraph(cfg.ChunkSize))
-	p.graph.SetMetrics(cfg.Metrics)
-	p.q.init(cfg.QueueThreshold, cfg.Metrics)
+	p.q.init(cfg.QueueThreshold)
 	return p, nil
 }
 
@@ -343,9 +345,7 @@ func (p *Profiler) HandleBatch(evs []trace.Event) {
 		}
 		p.refs = refs
 	}
-	// Queue occupancy is sampled once per batch: fine-grained enough to
-	// sketch the distribution, far off the per-reference path.
-	p.cfg.Metrics.Observe(metrics.HistQueueOccupancy, uint64(p.q.occupancy()))
+	p.q.flush(p.cfg.Metrics, true)
 }
 
 // touchRange feeds every chunk covered by [off, off+size) through the
@@ -355,6 +355,7 @@ func (p *Profiler) touchRange(nd trg.NodeID, off, size int64) {
 		size = 1
 	}
 	n := p.graph.Node(nd)
+	chunks := rowHint(n.Chunks(p.cfg.ChunkSize))
 	first := off / p.cfg.ChunkSize
 	last := (off + size - 1) / p.cfg.ChunkSize
 	for c := first; c <= last; c++ {
@@ -365,25 +366,14 @@ func (p *Profiler) touchRange(nd trg.NodeID, off, size int64) {
 		if clen <= 0 {
 			clen = 1
 		}
-		p.touch(trg.MakeChunkKey(nd, int(c)), clen)
+		p.q.touch(trg.MakeChunkKey(nd, int(c)), clen, chunks, true)
 	}
 }
 
-// touch is the TRG queue step from section 3.2.
-func (p *Profiler) touch(key trg.ChunkKey, size int64) {
-	if e := p.q.get(key); e != nil {
-		// Record a temporal relationship with every chunk referenced
-		// since the last touch of key (the entries ahead of it).
-		for x := p.q.head; x != nil && x != e; x = x.next {
-			p.graph.AddWeight(key, x.key, 1)
-		}
-		p.q.moveToFront(e)
-		return
-	}
-	p.q.insert(key, size)
-}
-
-// Finish completes and returns the profile.
+// Finish sums the queue's half-edges into the symmetric graph, completes
+// the profile and returns it.
 func (p *Profiler) Finish() *Profile {
+	p.q.flush(p.cfg.Metrics, true)
+	p.graph.AddHalves(&p.q.acc)
 	return p.finishProfile(p.cfg, p.refs)
 }

@@ -311,3 +311,25 @@ func TestSamplingReducesTRGCost(t *testing.T) {
 		t.Fatal("sampling lost the dominant relationship")
 	}
 }
+
+// TestHugeObjectIndexGrowsWithTouches pins the queue index's memory bound
+// for objects too large to size up front (a replayed trace may declare
+// one): the node's index row grows with the chunks actually touched, not
+// with the declared size, and the edges still form.
+func TestHugeObjectIndexGrowsWithTouches(t *testing.T) {
+	r := newRig(t, smallConfig())
+	huge := r.tbl.AddGlobal("huge", 1<<40) // 2^32 chunks of 256 B
+	b := r.tbl.AddGlobal("b", 64)
+	r.em.Load(huge, 0, 8)
+	r.em.Load(b, 0, 8)
+	r.em.Load(huge, 1000*256, 8)
+	r.em.Load(huge, 0, 8)
+	nd := r.prof.nodeFor(huge)
+	prof := r.finish()
+	if n := len(r.prof.q.rows[nd]); n > 2*1001 {
+		t.Fatalf("index row of the huge node has %d cells, want at most %d", n, 2*1001)
+	}
+	if w := prof.Graph.Weight(trg.MakeChunkKey(nd, 0), trg.MakeChunkKey(prof.Node(b), 0)); w != 1 {
+		t.Fatalf("edge weight %d, want 1", w)
+	}
+}

@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/object"
 	"repro/internal/trace"
 )
@@ -54,7 +53,7 @@ func (p *Profiler) HandleRecs(recs []Rec) {
 			p.noteAllocInfo(r.Obj, r.Info, r.NonUnique)
 		}
 	}
-	p.cfg.Metrics.Observe(metrics.HistQueueOccupancy, uint64(p.q.occupancy()))
+	p.q.flush(p.cfg.Metrics, true)
 }
 
 // HandleRecs is the sharded profiler's broadcast entry point: the serial

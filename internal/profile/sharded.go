@@ -30,11 +30,12 @@ import (
 //     the bookkeeping is O(1) amortized per touch and cheap.
 //   - When a touched chunk is found in the queue, only the worker that
 //     owns the chunk's shard performs the O(queue-length) scan of entries
-//     ahead of it and accumulates edges into its own trg.Graph arena.
-//     The sequential weight of edge (a, b) is exactly (contributions from
-//     touches of a) + (contributions from touches of b), and each term is
-//     recorded by exactly one worker, so summing the per-shard arenas in
-//     Finish reproduces the sequential graph bit for bit.
+//     ahead of it and accumulates its half-edges into its own queue's
+//     trg.HalfEdges. The sequential weight of edge (a, b) is exactly
+//     (contributions from touches of a) + (contributions from touches of
+//     b), and each term is recorded by exactly one worker, so
+//     symmetrizing every worker's half-edges into one graph in Finish
+//     reproduces the sequential graph bit for bit.
 //
 // A filtered design — independent queues that each see only their shard's
 // touches, with threshold/numShards byte caps — would be cheaper still but
@@ -92,11 +93,13 @@ const (
 )
 
 // touch is one recency-queue step: a chunk key, the chunk's byte size for
-// queue accounting, and its precomputed owning shard.
+// queue accounting, its node's index row size (rowHint), and its
+// precomputed owning shard.
 type touch struct {
-	key   trg.ChunkKey
-	size  int64
-	shard int32
+	key    trg.ChunkKey
+	size   int64
+	shard  int32
+	chunks int32
 }
 
 // touchBatch is a pooled, refcounted touch buffer shared read-only by all
@@ -126,34 +129,24 @@ const (
 	defaultAdaptiveMinHitRatio = 0.25
 )
 
-// shardWorker owns one shard: a full replica of the recency queue plus the
-// edge arena for the chunks it owns.
+// shardWorker owns one shard: a full replica of the recency queue, whose
+// half-edges hold the scans of the chunks it owns. Every hit is scanned
+// by exactly one worker, so each publishes its own scan lengths; replicas
+// evolve identically, so worker 0 alone is the primary that reports
+// evictions and occupancy. Both keep the totals equal to a sequential
+// run's.
 type shardWorker struct {
 	shard int32
 	q     recencyQueue
-	graph *trg.Graph
-
-	// mc is non-nil on worker 0 only: replicas evolve identically, so
-	// exactly one observes evictions and occupancy, keeping the counters
-	// equal to a sequential run's.
-	mc *metrics.Collector
+	mc    *metrics.Collector
 }
 
 func (w *shardWorker) process(b *touchBatch) {
 	for i := range b.touches {
 		t := &b.touches[i]
-		if e := w.q.get(t.key); e != nil {
-			if t.shard == w.shard {
-				for x := w.q.head; x != nil && x != e; x = x.next {
-					w.graph.AddWeight(t.key, x.key, 1)
-				}
-			}
-			w.q.moveToFront(e)
-		} else {
-			w.q.insert(t.key, t.size)
-		}
+		w.q.touch(t.key, t.size, t.chunks, t.shard == w.shard)
 	}
-	w.mc.Observe(metrics.HistQueueOccupancy, uint64(w.q.occupancy()))
+	w.q.flush(w.mc, w.shard == 0)
 	if b.pending.Add(-1) == 0 {
 		b.release()
 	}
@@ -167,17 +160,11 @@ func (w *shardWorker) processInline(b *touchBatch) int {
 	hits := 0
 	for i := range b.touches {
 		t := &b.touches[i]
-		if e := w.q.get(t.key); e != nil {
+		if w.q.touch(t.key, t.size, t.chunks, true) {
 			hits++
-			for x := w.q.head; x != nil && x != e; x = x.next {
-				w.graph.AddWeight(t.key, x.key, 1)
-			}
-			w.q.moveToFront(e)
-		} else {
-			w.q.insert(t.key, t.size)
 		}
 	}
-	w.mc.Observe(metrics.HistQueueOccupancy, uint64(w.q.occupancy()))
+	w.q.flush(w.mc, true)
 	return hits
 }
 
@@ -187,11 +174,7 @@ func (w *shardWorker) processInline(b *touchBatch) int {
 func (w *shardWorker) catchUp(b *touchBatch) {
 	for i := range b.touches {
 		t := &b.touches[i]
-		if e := w.q.get(t.key); e != nil {
-			w.q.moveToFront(e)
-		} else {
-			w.q.insert(t.key, t.size)
-		}
+		w.q.touch(t.key, t.size, t.chunks, false)
 	}
 }
 
@@ -225,17 +208,11 @@ func NewSharded(cfg Config, objs *object.Table, shards int, cacheSize int64) (*S
 
 	s := &Sharded{cfg: cfg, shards: shards, setGroups: setGroups, depth: depth}
 	s.binder.init(objs, trg.NewGraph(cfg.ChunkSize))
-	s.graph.SetMetrics(cfg.Metrics)
 	s.pool = make(chan *touchBatch, depth+2)
 	s.workers = make([]*shardWorker, shards)
 	for i := range s.workers {
-		w := &shardWorker{shard: int32(i), graph: trg.NewGraph(cfg.ChunkSize)}
-		var qmc *metrics.Collector
-		if i == 0 {
-			qmc = cfg.Metrics
-			w.mc = cfg.Metrics
-		}
-		w.q.init(cfg.QueueThreshold, qmc)
+		w := &shardWorker{shard: int32(i), mc: cfg.Metrics}
+		w.q.init(cfg.QueueThreshold)
 		s.workers[i] = w
 	}
 	s.warmLimit = cfg.AdaptiveWarmup
@@ -350,6 +327,7 @@ func (s *Sharded) appendTouches(ts []touch, nd trg.NodeID, off, size int64) []to
 		size = 1
 	}
 	n := s.graph.Node(nd)
+	chunks := rowHint(n.Chunks(s.cfg.ChunkSize))
 	first := off / s.cfg.ChunkSize
 	last := (off + size - 1) / s.cfg.ChunkSize
 	for c := first; c <= last; c++ {
@@ -361,7 +339,7 @@ func (s *Sharded) appendTouches(ts []touch, nd trg.NodeID, off, size int64) []to
 			clen = 1
 		}
 		key := trg.MakeChunkKey(nd, int(c))
-		ts = append(ts, touch{key: key, size: clen, shard: s.shardOf(key)})
+		ts = append(ts, touch{key: key, size: clen, shard: s.shardOf(key), chunks: chunks})
 	}
 	return ts
 }
@@ -422,10 +400,24 @@ func (s *Sharded) HandleBatch(evs []trace.Event) {
 	s.dispatch(b)
 }
 
-// Finish drains the workers, merges the per-shard edge arenas into the
-// shared graph in shard-major order, settles the TRG counters once (so
-// merged totals equal a sequential run's), and completes the profile.
-// It must be called exactly once.
+// rehomeWarmupHalves moves the half-edges worker 0 scanned inline during
+// warmup for chunks other shards own into those owners' accumulators, so
+// each directed half-edge is held by exactly its owning worker. The
+// symmetrized graph is the same either way; the per-shard edge counters
+// need it.
+func (s *Sharded) rehomeWarmupHalves() {
+	s.workers[0].q.acc.ForEachList(func(from trg.ChunkKey, l *trg.HalfList) {
+		if sh := s.shardOf(from); sh != 0 {
+			q := &s.workers[sh].q
+			q.listOf(q.cell(from, 0), from).Absorb(l)
+		}
+	})
+}
+
+// Finish drains the workers, symmetrizes every worker's half-edges into
+// the shared graph, settles the TRG counters once (so merged totals equal
+// a sequential run's), and completes the profile. It must be called
+// exactly once.
 func (s *Sharded) Finish() *Profile {
 	if s.mode == modeWarmup {
 		// The stream ended inside the warmup window: everything already
@@ -439,17 +431,20 @@ func (s *Sharded) Finish() *Profile {
 	if s.stream != nil {
 		s.stream.Close()
 	}
+	if s.mode == modeParallel {
+		s.rehomeWarmupHalves()
+	}
 	mc := s.cfg.Metrics
 	for i, w := range s.workers {
-		s.graph.Merge(w.graph)
 		if mc != nil {
-			mc.AddNamed(fmt.Sprintf("profile.shard%02d.edges", i), uint64(w.graph.NumEdges()))
+			// Directed half-edges: an edge scanned from both ends counts
+			// once on each owner, so the shards sum to [edges, 2*edges].
+			mc.AddNamed(fmt.Sprintf("profile.shard%02d.edges", i), uint64(w.q.acc.NumHalfEdges()))
 		}
+		s.graph.AddHalves(&w.q.acc)
 	}
 	if mc != nil {
 		mc.AddNamed("profile.adaptive.effectiveshards", uint64(s.EffectiveShards()))
 	}
-	mc.Add(metrics.TRGEdges, uint64(s.graph.NumEdges()))
-	mc.Add(metrics.TRGWeight, s.graph.TotalWeight())
 	return s.finishProfile(s.cfg, s.refs)
 }

@@ -325,23 +325,19 @@ func TestQueueFreeListNoAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	var q recencyQueue
-	q.init(1024, nil)
+	q.init(1024)
 	keys := make([]trg.ChunkKey, 64)
 	for i := range keys {
 		keys[i] = trg.MakeChunkKey(trg.NodeID(i), 0)
 	}
 	for _, k := range keys { // warm: fill past threshold, build free list
-		q.insert(k, 256)
+		q.touch(k, 256, 1, false)
 	}
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		k := keys[i%len(keys)]
 		i++
-		if e := q.get(k); e != nil {
-			q.moveToFront(e)
-			return
-		}
-		q.insert(k, 256) // evicts one, recycles the entry
+		q.touch(k, 256, 1, false) // a miss evicts one and recycles its slot
 	})
 	if avg != 0 {
 		t.Fatalf("queue churn allocates %v per op, want 0", avg)
@@ -370,5 +366,38 @@ func TestHandleBatchSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() { p.HandleBatch(evs) })
 	if avg != 0 {
 		t.Fatalf("steady-state HandleBatch allocates %v per batch, want 0", avg)
+	}
+}
+
+// TestScanLenHistogramParity pins the scan-length histogram's
+// decomposition: every queue hit is scanned by exactly one worker, and
+// each worker publishes its own scans, so a sharded run — fanned out at
+// once, after an adaptive warmup, or kept inline — reports the same
+// observations, sum and buckets as the sequential profiler.
+func TestScanLenHistogramParity(t *testing.T) {
+	name := metrics.HistScanLen.String()
+	for _, wl := range shardWorkloads {
+		cfg := smallConfig()
+		cfg.QueueThreshold = 2048
+		seqCfg := cfg
+		seqCfg.Metrics = metrics.New()
+		runSequential(t, seqCfg, wl)
+		want, ok := seqCfg.Metrics.Snapshot().Hist(name)
+		if !ok || want.Count == 0 {
+			t.Fatalf("%s: sequential run recorded no scan lengths", wl.name)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			for _, warmup := range []int{-1, 0, 64} {
+				shCfg := cfg
+				shCfg.Metrics = metrics.New()
+				shCfg.AdaptiveWarmup = warmup
+				runSharded(t, shCfg, wl, shards, 8192)
+				got, _ := shCfg.Metrics.Snapshot().Hist(name)
+				if got.Count != want.Count || got.Sum != want.Sum || fmt.Sprint(got.Buckets) != fmt.Sprint(want.Buckets) {
+					t.Errorf("%s/shards=%d/warmup=%d: scan_len {count %d sum %d %v}, sequential {count %d sum %d %v}",
+						wl.name, shards, warmup, got.Count, got.Sum, got.Buckets, want.Count, want.Sum, want.Buckets)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,12 @@
 package sweep
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // FuzzParseAxes drives the -sweep-* flag parser with arbitrary axis
 // strings: it must return a grid or an error, never panic, and a grid's
@@ -30,6 +36,50 @@ func FuzzParseAxes(f *testing.F) {
 		}
 		if cells, err := g.Cells(); err == nil && len(cells) != n {
 			t.Fatalf("NumCells = %d, Cells expanded %d", n, len(cells))
+		}
+	})
+}
+
+// FuzzLoadGridFile drives the JSON grid-file loader with arbitrary file
+// contents: it must return a grid or an error, never panic, and a
+// loaded grid's cells, when small enough to expand, must validate and
+// render like a flag-parsed grid's.
+func FuzzLoadGridFile(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"sizes":[4096,8192],"assocs":[1,2],"chunks":[256,512],"queues":[8192,16384],"layouts":["natural","ccdp"]}`))
+	f.Add([]byte(`{"cutoffs":[0,0.001],"heaps":["first","temporal"],"l2":[{"size":98304,"block":32,"assoc":3,"tlb":32}]}`))
+	f.Add([]byte(`{"sizes":[0],"blocks":[-32],"assocs":[3],"layouts":["zigzag"]}`))
+	f.Add([]byte(`{"l2":[{"size":1024,"block":0,"assoc":0,"tlb":-1}]}`))
+	f.Add([]byte(`{"sizes":[8192],"unknown":true}`))
+	f.Add([]byte(`{"sizes":[1e400]}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "grid.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := LoadGridFile(path)
+		if err != nil {
+			return
+		}
+		n := g.NumCells()
+		if n < 1 {
+			t.Fatalf("NumCells = %d, want >= 1", n)
+		}
+		if n > 4096 {
+			return // never expand a grid this large
+		}
+		cells, err := g.Cells()
+		if err != nil {
+			return
+		}
+		if len(cells) != n {
+			t.Fatalf("NumCells = %d, Cells expanded %d", n, len(cells))
+		}
+		base := sim.DefaultOptions()
+		for _, c := range cells {
+			_ = c.Label()
+			_ = c.placementKey(base)
 		}
 	})
 }

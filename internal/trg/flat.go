@@ -1,11 +1,11 @@
 package trg
 
 // Flat adjacency storage for TRGplace. The recency-queue scan in the
-// profiler calls Graph.AddWeight once per (current chunk, queue entry)
-// pair, making edge accumulation the hottest operation of the whole
-// profiling pass. The generic map[ChunkKey]map[ChunkKey]uint64 pays two
-// hashed lookups plus map-bucket pointer chasing per bump; this file
-// replaces it with:
+// profiler bumps one half-edge per (current chunk, queue entry) pair,
+// making edge accumulation the hottest operation of the whole profiling
+// pass. The generic map[ChunkKey]map[ChunkKey]uint64 pays two hashed
+// lookups plus map-bucket pointer chasing per bump; this file replaces it
+// with:
 //
 //   - an open-addressing index (power-of-two capacity, linear probing,
 //     multiplicative hashing) from ChunkKey to a dense arena of per-chunk
@@ -48,13 +48,12 @@ type edgeList struct {
 	used int
 }
 
-// add accumulates w on the edge to `to` and reports whether the edge was
-// newly materialized.
-func (e *edgeList) add(to ChunkKey, w uint64) bool {
+// add accumulates w on the edge to `to`.
+func (e *edgeList) add(to ChunkKey, w uint64) {
 	for i := 0; i < int(e.inl); i++ {
 		if e.ikeys[i] == to {
 			e.ivals[i] += w
-			return false
+			return
 		}
 	}
 	if e.keys == nil {
@@ -62,11 +61,11 @@ func (e *edgeList) add(to ChunkKey, w uint64) bool {
 			e.ikeys[e.inl] = to
 			e.ivals[e.inl] = w
 			e.inl++
-			return true
+			return
 		}
 		e.spill()
 	}
-	return e.tableAdd(to, w)
+	e.tableAdd(to, w)
 }
 
 // spill moves the inline neighbors into a fresh table.
@@ -79,13 +78,13 @@ func (e *edgeList) spill() {
 	e.inl = 0
 }
 
-func (e *edgeList) tableAdd(to ChunkKey, w uint64) bool {
+func (e *edgeList) tableAdd(to ChunkKey, w uint64) {
 	mask := uint64(len(e.keys) - 1)
 	i := hashKey(to) & mask
 	for e.vals[i] != 0 {
 		if e.keys[i] == to {
 			e.vals[i] += w
-			return false
+			return
 		}
 		i = (i + 1) & mask
 	}
@@ -95,7 +94,6 @@ func (e *edgeList) tableAdd(to ChunkKey, w uint64) bool {
 	if 4*e.used >= 3*len(e.keys) { // resize at 3/4 load
 		e.grow()
 	}
-	return true
 }
 
 func (e *edgeList) grow() {
@@ -151,6 +149,57 @@ func (e *edgeList) forEach(fn func(to ChunkKey, w uint64)) {
 			fn(e.keys[i], v)
 		}
 	}
+}
+
+// HalfEdges accumulates directed TRGplace half-edges during profiling.
+// The symmetric weight w(a, b) is the number of times b lay in a's reuse
+// window plus the number of times a lay in b's, so each queue scan only
+// counts its own half: it resolves the touched chunk's list once
+// (NewList/List, addressed by a dense handle the caller keeps) and
+// increments it for every chunk ahead. Graph.AddHalves sums the halves
+// into the symmetric graph once, at the end of the pass. Shard workers
+// each own one; symmetrizing them in turn merges them.
+type HalfEdges struct {
+	lists []HalfList
+}
+
+// HalfList is the directed half-edge list of one chunk key.
+type HalfList struct{ l edgeList }
+
+// Inc counts one occurrence of `to` in the list owner's reuse window.
+func (h *HalfList) Inc(to ChunkKey) { h.l.add(to, 1) }
+
+// Absorb adds src's counts to h and empties src.
+func (h *HalfList) Absorb(src *HalfList) {
+	src.l.forEach(func(to ChunkKey, w uint64) { h.l.add(to, w) })
+	src.l = edgeList{from: src.l.from}
+}
+
+// NewList appends an empty list for chunk key from and returns its
+// handle. Each key needs at most one list.
+func (h *HalfEdges) NewList(from ChunkKey) int32 {
+	h.lists = append(h.lists, HalfList{l: edgeList{from: from}})
+	return int32(len(h.lists) - 1)
+}
+
+// List returns the list behind handle i. The pointer is invalidated by
+// the next NewList.
+func (h *HalfEdges) List(i int32) *HalfList { return &h.lists[i] }
+
+// ForEachList calls fn for every list in creation order, with its key.
+func (h *HalfEdges) ForEachList(fn func(from ChunkKey, l *HalfList)) {
+	for i := range h.lists {
+		fn(h.lists[i].l.from, &h.lists[i])
+	}
+}
+
+// NumHalfEdges returns the number of distinct directed half-edges.
+func (h *HalfEdges) NumHalfEdges() int {
+	n := 0
+	for i := range h.lists {
+		n += h.lists[i].l.degree()
+	}
+	return n
 }
 
 // edgeIndex maps ChunkKeys to edge lists stored in a dense arena, in

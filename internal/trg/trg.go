@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"repro/internal/addrspace"
-	"repro/internal/metrics"
 	"repro/internal/object"
 )
 
@@ -98,14 +97,14 @@ func (n *Node) Chunks(chunkSize int64) int {
 
 // Graph is the TRGplace graph: nodes plus symmetric weighted edges between
 // chunk pairs. Adjacency lives in a flat open-addressing index (see
-// flat.go) rather than nested Go maps: edge accumulation is the hottest
-// operation of the profiling pass.
+// flat.go) rather than nested Go maps. The profiler accumulates into
+// HalfEdges, which share the flat edge lists, and fills the graph once
+// with AddHalves.
 type Graph struct {
 	ChunkSize int64
 	nodes     []Node
 	adj       edgeIndex
 	totalW    uint64
-	metrics   *metrics.Collector
 }
 
 // NewGraph creates an empty graph with the given chunk granularity (0
@@ -116,10 +115,6 @@ func NewGraph(chunkSize int64) *Graph {
 	}
 	return &Graph{ChunkSize: chunkSize}
 }
-
-// SetMetrics attaches a collector (nil = disabled) that counts edge
-// materializations and accumulated weight.
-func (g *Graph) SetMetrics(c *metrics.Collector) { g.metrics = c }
 
 // AddNode appends a node and returns its ID. Callers fill the returned
 // pointer's metadata.
@@ -143,41 +138,34 @@ func (g *Graph) AddWeight(a, b ChunkKey, w uint64) {
 	if a == b || w == 0 {
 		return
 	}
-	if g.bump(a, b, w) {
-		g.metrics.Add(metrics.TRGEdges, 1)
-	}
+	g.bump(a, b, w)
 	g.bump(b, a, w)
 	g.totalW += w
-	g.metrics.Add(metrics.TRGWeight, w)
 }
 
-// bump adds w to the directed half-edge and reports whether it was newly
-// materialized: one index probe plus an inline-array or open-addressing
-// accumulate, no nested map machinery.
-func (g *Graph) bump(from, to ChunkKey, w uint64) bool {
-	return g.adj.arena[g.adj.getOrCreate(from)].add(to, w)
+// bump adds w to the directed half-edge: one index probe plus an
+// inline-array or open-addressing accumulate, no nested map machinery.
+func (g *Graph) bump(from, to ChunkKey, w uint64) {
+	g.adj.arena[g.adj.getOrCreate(from)].add(to, w)
 }
 
-// Merge folds src's adjacency arena and total weight into g: every
-// directed half-edge weight adds, and chunk keys unseen by g extend its
-// arena in src's first-touch order — so merging per-shard arenas in a
-// fixed shard-major order is fully deterministic. Node metadata and
-// metrics are untouched (the sharded profiler keeps nodes on the shared
-// graph and accounts for counters once, after the final merge). src must
-// be quiescent and is left unmodified.
-func (g *Graph) Merge(src *Graph) {
-	if src == nil {
-		return
-	}
-	for i := range src.adj.arena {
-		e := &src.adj.arena[i]
-		idx := g.adj.getOrCreate(e.from)
-		dst := &g.adj.arena[idx]
+// AddHalves symmetrizes a half-edge accumulator into g in O(half-edges):
+// each directed count h(a→b) is added to both halves of the symmetric
+// edge (a, b), so w(a, b) ends up as h(a→b) + h(b→a), the sum of the two
+// one-sided scans. h is consumed: each list's storage is released once
+// it is folded, so the transient peak stays near one copy of the edges,
+// and h is left empty.
+func (g *Graph) AddHalves(h *HalfEdges) {
+	for i := range h.lists {
+		e := &h.lists[i].l
 		e.forEach(func(to ChunkKey, w uint64) {
-			dst.add(to, w)
+			g.bump(e.from, to, w)
+			g.bump(to, e.from, w)
+			g.totalW += w
 		})
+		h.lists[i] = HalfList{}
 	}
-	g.totalW += src.totalW
+	h.lists = nil
 }
 
 // Weight returns the edge weight between chunk pairs a and b (0 if absent).

@@ -318,34 +318,56 @@ func TestSelectGraphIgnoresSelfEdges(t *testing.T) {
 	}
 }
 
-func TestMergeEqualsCombinedStream(t *testing.T) {
-	// Split one AddWeight stream across two graphs; the merge must equal
-	// the graph that saw the whole stream.
-	type add struct {
-		a, b ChunkKey
-		w    uint64
+// halfInc is one directed half-edge increment: from's reuse window held
+// to once.
+type halfInc struct{ from, to ChunkKey }
+
+// accumulate feeds incs into h, resolving each from key's list once.
+func accumulate(h *HalfEdges, incs []halfInc) {
+	handles := map[ChunkKey]int32{}
+	for _, in := range incs {
+		l, ok := handles[in.from]
+		if !ok {
+			l = h.NewList(in.from)
+			handles[in.from] = l
+		}
+		h.List(l).Inc(in.to)
 	}
-	stream := []add{
-		{MakeChunkKey(0, 0), MakeChunkKey(1, 0), 3},
-		{MakeChunkKey(1, 0), MakeChunkKey(2, 1), 2},
-		{MakeChunkKey(0, 0), MakeChunkKey(1, 0), 1}, // repeat: weights fold
-		{MakeChunkKey(2, 1), MakeChunkKey(3, 0), 7},
-		{MakeChunkKey(0, 1), MakeChunkKey(3, 0), 4},
+}
+
+func TestAddHalvesEqualsCombinedStream(t *testing.T) {
+	// Split one half-edge stream across two accumulators; symmetrizing
+	// both into one graph must equal the graph that saw every increment
+	// as a symmetric AddWeight.
+	stream := []halfInc{
+		{MakeChunkKey(0, 0), MakeChunkKey(1, 0)},
+		{MakeChunkKey(1, 0), MakeChunkKey(0, 0)}, // the other half of (0,0)-(1,0)
+		{MakeChunkKey(1, 0), MakeChunkKey(2, 1)},
+		{MakeChunkKey(0, 0), MakeChunkKey(1, 0)}, // repeat: weights fold
+		{MakeChunkKey(2, 1), MakeChunkKey(3, 0)},
+		{MakeChunkKey(0, 1), MakeChunkKey(3, 0)},
+		{MakeChunkKey(3, 0), MakeChunkKey(0, 1)},
 	}
 	whole := NewGraph(256)
-	shardA, shardB := NewGraph(256), NewGraph(256)
-	for i, ad := range stream {
-		whole.AddWeight(ad.a, ad.b, ad.w)
+	var shardA, shardB HalfEdges
+	var incA, incB []halfInc
+	for i, in := range stream {
+		whole.AddWeight(in.from, in.to, 1)
 		if i%2 == 0 {
-			shardA.AddWeight(ad.a, ad.b, ad.w)
+			incA = append(incA, in)
 		} else {
-			shardB.AddWeight(ad.a, ad.b, ad.w)
+			incB = append(incB, in)
 		}
 	}
+	accumulate(&shardA, incA)
+	accumulate(&shardB, incB)
+	// Six distinct half-edges, one of them repeated across the split.
+	if n := shardA.NumHalfEdges() + shardB.NumHalfEdges(); n != 7 {
+		t.Fatalf("accumulators hold %d half-edges, want 7", n)
+	}
 	merged := NewGraph(256)
-	merged.Merge(shardA)
-	merged.Merge(shardB)
-	merged.Merge(nil) // no-op
+	merged.AddHalves(&shardA)
+	merged.AddHalves(&shardB)
 
 	if merged.TotalWeight() != whole.TotalWeight() {
 		t.Fatalf("merged weight %d, want %d", merged.TotalWeight(), whole.TotalWeight())
@@ -368,31 +390,43 @@ func TestMergeEqualsCombinedStream(t *testing.T) {
 			t.Fatalf("edge[%d] = %+v, want %+v", i, gotE[i], wantE[i])
 		}
 	}
-	// src graphs are left unmodified.
-	if shardA.Weight(MakeChunkKey(0, 0), MakeChunkKey(1, 0)) != 4 {
-		t.Fatal("merge mutated its source")
+	if w := merged.Weight(MakeChunkKey(1, 0), MakeChunkKey(0, 0)); w != 3 {
+		t.Fatalf("two-sided edge weight %d, want 2+1", w)
+	}
+	// The accumulators are consumed: a second symmetrization adds nothing.
+	if shardA.NumHalfEdges() != 0 || shardB.NumHalfEdges() != 0 {
+		t.Fatal("AddHalves left half-edges behind")
+	}
+	merged.AddHalves(&shardA)
+	if merged.TotalWeight() != whole.TotalWeight() {
+		t.Fatal("re-adding a consumed accumulator changed the graph")
 	}
 }
 
-func TestMergeDeterministicOrder(t *testing.T) {
-	// Two merges in the same shard-major order produce the same arena and
-	// therefore the same ForEachEdge sequence — the property the sharded
-	// profiler's byte-identical output rests on.
+func TestAddHalvesDeterministicOrder(t *testing.T) {
+	// Two symmetrizations of the same accumulators in the same order
+	// produce the same arena, hence the same ForEachEdge sequence and the
+	// same per-key Neighbors order.
 	build := func() *Graph {
-		a, b := NewGraph(256), NewGraph(256)
+		var a, b HalfEdges
+		var ia, ib []halfInc
 		for i := 0; i < 50; i++ {
-			a.AddWeight(MakeChunkKey(NodeID(i%7), i%3), MakeChunkKey(NodeID(i%5+7), 0), uint64(i+1))
-			b.AddWeight(MakeChunkKey(NodeID(i%6), i%2), MakeChunkKey(NodeID(i%4+6), 1), uint64(i+2))
+			ia = append(ia, halfInc{MakeChunkKey(NodeID(i%7), i%3), MakeChunkKey(NodeID(i%5+7), 0)})
+			ib = append(ib, halfInc{MakeChunkKey(NodeID(i%6), i%2), MakeChunkKey(NodeID(i%4+6), 1)})
 		}
+		accumulate(&a, ia)
+		accumulate(&b, ib)
 		g := NewGraph(256)
-		g.Merge(a)
-		g.Merge(b)
+		g.AddHalves(&a)
+		g.AddHalves(&b)
 		return g
 	}
 	g1, g2 := build(), build()
 	var e1, e2 []uint64
 	g1.ForEachEdge(func(a, b ChunkKey, w uint64) { e1 = append(e1, uint64(a), uint64(b), w) })
 	g2.ForEachEdge(func(a, b ChunkKey, w uint64) { e2 = append(e2, uint64(a), uint64(b), w) })
+	g1.Neighbors(MakeChunkKey(7, 0), func(b ChunkKey, w uint64) { e1 = append(e1, uint64(b), w) })
+	g2.Neighbors(MakeChunkKey(7, 0), func(b ChunkKey, w uint64) { e2 = append(e2, uint64(b), w) })
 	if len(e1) != len(e2) {
 		t.Fatalf("edge streams differ in length: %d vs %d", len(e1), len(e2))
 	}

@@ -30,6 +30,11 @@ echo "==> benchmark module checks"
 # vet/test above never reach it.
 (cd perfbench && go vet ./... && go test ./...)
 
+echo "==> micro-benchmark smoke"
+# Keeps the profiler-kernel and edge-accumulation benchmarks compiling
+# and running (100 iterations: a smoke run, not a measurement).
+go test -run=NONE -bench='HandleBatch|ProfileTrain|AddWeight' -benchtime=100x ./internal/profile ./internal/trg
+
 # CI additionally runs the build-test job on a go-version matrix
 # (1.22.x, 1.23.x); locally you test whatever toolchain is installed.
 
@@ -44,13 +49,15 @@ if [ "${1:-}" != "fast" ]; then
     echo "==> race (exec, profile, core, sim, sweep, store, trace, metrics, benchsuite, ledger, telemetry, server)"
     go test -race ./internal/exec/... ./internal/profile/... ./internal/core/... ./internal/sim/... ./internal/sweep/... ./internal/store/... ./internal/trace/... ./internal/metrics/... ./internal/benchsuite/... ./internal/ledger/... ./internal/telemetry/... ./internal/server/...
 
-    echo "==> fuzz smoke (persist, trace, store, job requests, sweep axes)"
+    echo "==> fuzz smoke (persist, trace, store, job requests, sweep axes, grid files, ledgers)"
     go test -fuzz=FuzzReadProfile -fuzztime=15s ./internal/persist
     go test -fuzz=FuzzReadPlacement -fuzztime=15s ./internal/persist
     go test -run=NONE -fuzz=FuzzTraceReader -fuzztime=15s ./internal/trace
     go test -run=NONE -fuzz=FuzzFrameReader -fuzztime=15s ./internal/store
     go test -run=NONE -fuzz=FuzzJobRequest -fuzztime=15s ./internal/server
     go test -run=NONE -fuzz=FuzzParseAxes -fuzztime=15s ./internal/sweep
+    go test -run=NONE -fuzz=FuzzLoadGridFile -fuzztime=15s ./internal/sweep
+    go test -run=NONE -fuzz=FuzzLedgerReplay -fuzztime=15s ./internal/ledger
 fi
 
 echo "==> bench gate"
