@@ -75,8 +75,8 @@ type Timing struct {
 
 	// ProfileNanos is the cumulative profiling-stage (TRG build) time
 	// across the suite's pipelines, and SequentialProfileNanos the same
-	// for the sequential comparison run — the stage the sharded recency
-	// queue parallelizes (0 when metrics were not collected).
+	// for the sequential comparison run (0 when metrics were not
+	// collected).
 	ProfileNanos           int64 `json:"profileNanos,omitempty"`
 	SequentialProfileNanos int64 `json:"sequentialProfileNanos,omitempty"`
 

@@ -47,8 +47,8 @@ func TestSuiteParallelDeterminism(t *testing.T) {
 // TestCoreRunParallelProfileDeterminism extends the determinism gate to
 // the profiling stage: the suite harness keeps inner pipelines sequential
 // (workloads are the fan-out unit), so this drives core.Run directly,
-// where Parallelism > 1 engages the sharded TRG profiler as well as the
-// parallel evaluation passes. Artifacts must stay byte-identical.
+// where Parallelism > 1 engages the parallel evaluation passes around the
+// sequential profile. Artifacts must stay byte-identical.
 func TestCoreRunParallelProfileDeterminism(t *testing.T) {
 	names := []string{"compress", "espresso", "deltablue"}
 	run := func(parallelism int) []byte {

@@ -17,9 +17,8 @@
 //
 // Two scheduling shapes share those rules: Map, for finite task lists, and
 // Stream, for ordered fan-out of an unbounded item sequence to long-lived
-// stateful workers (the sharded profiling stage) — with Broadcast, its
-// batched form, carrying the decode-once evaluation kernel and the
-// sweep's multi-profile pass.
+// stateful workers — with Broadcast, its batched form, carrying the
+// decode-once evaluation kernel and the sweep's multi-profile pass.
 package exec
 
 import (
@@ -37,10 +36,11 @@ import (
 // task list across interchangeable workers, a Stream fans an *ordered
 // sequence* of items across N long-lived stateful workers — every worker
 // receives every item, in exactly the send order, on its own goroutine.
-// That is the shape a sharded streaming stage needs (e.g. the sharded TRG
-// profiler): each worker holds shard-local state that must evolve as a
-// deterministic function of the full stream, while the expensive part of
-// each item is partitioned among the workers by shard.
+// That is the shape a decode-once stage needs: each worker holds state
+// that must evolve as a deterministic function of the full stream (a
+// profile builder, a group of layouts under simulation), and the stream
+// is decoded once for all of them. Broadcast is its batched form and its
+// only client.
 //
 // Per-worker delivery is a bounded FIFO channel, so a producer outrunning
 // the slowest worker blocks (backpressure) rather than buffering without

@@ -40,32 +40,3 @@ func BenchmarkHandleBatch(b *testing.B) {
 	}
 	b.SetBytes(int64(len(evs)))
 }
-
-// BenchmarkSharded compares the parallel profiler across shard counts on
-// an alternation-heavy stream (the queue-scan-bound worst case the
-// sharding targets). shards=1 approximates the sequential profiler plus
-// dispatch overhead.
-func BenchmarkSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				tbl := object.NewTable(256)
-				cfg := smallConfig()
-				s, err := NewSharded(cfg, tbl, shards, 8192)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// 96 globals at 256B overflow the 16KB threshold, so the
-				// queue sits at full length and scans dominate.
-				evs := benchEvents(tbl, 96, 1024)
-				b.StartTimer()
-				for batch := 0; batch < 64; batch++ {
-					s.HandleBatch(evs)
-				}
-				s.Finish()
-			}
-		})
-	}
-}

@@ -27,6 +27,118 @@ func recordTrain(tb testing.TB, w workload.Workload, frac float64) []byte {
 	return buf.Bytes()
 }
 
+// shape drives a deterministic synthetic reference stream. Each shape
+// declares all its globals before its first reference.
+type shape struct {
+	name string
+	run  func(tbl *object.Table, em *trace.Emitter)
+}
+
+// lcg is a tiny deterministic generator for skewed-but-reproducible
+// offsets; math/rand would work too, this keeps the streams self-evident.
+type lcg uint64
+
+func (r *lcg) next() uint64 {
+	*r = *r*6364136223846793005 + 1442695040888963407
+	return uint64(*r >> 33)
+}
+
+// shapes are stream patterns the paper's programs exercise only thinly.
+var shapes = []shape{
+	{
+		// Alternation-heavy traffic over small globals: maximal queue
+		// churn, every touch re-finds its key and scans past the others.
+		name: "alternation",
+		run: func(tbl *object.Table, em *trace.Emitter) {
+			var gs []object.ID
+			for i := 0; i < 8; i++ {
+				gs = append(gs, tbl.AddGlobal(fmt.Sprintf("g%d", i), 64))
+			}
+			for i := 0; i < 4000; i++ {
+				em.Load(gs[i%8], 0, 8)
+				em.Store(gs[(i*3+1)%8], 8, 8)
+				if i%5 == 0 {
+					em.Load(object.StackID, int64(i%512), 8)
+				}
+			}
+		},
+	},
+	{
+		// Large chunk-spanning objects with a skewed access pattern:
+		// exercises multi-chunk expansion and partial tail chunks.
+		name: "spanning",
+		run: func(tbl *object.Table, em *trace.Emitter) {
+			bigA := tbl.AddGlobal("bigA", 4096+40) // 17 chunks, short tail
+			bigB := tbl.AddGlobal("bigB", 2048)
+			small := tbl.AddGlobal("small", 96)
+			var r lcg = 42
+			for i := 0; i < 3000; i++ {
+				em.Load(bigA, int64(r.next()%3600), int64(16+r.next()%500))
+				if i%3 == 0 {
+					em.Store(bigB, int64(r.next()%1984), 64)
+				}
+				if i%2 == 0 {
+					em.Load(small, 0, 8)
+				}
+			}
+		},
+	},
+	{
+		// Heap churn: allocs and frees interleaved with loads, multiple
+		// XOR names, one name with concurrently-live instances. Allocs
+		// flush the emitter ring, so references arrive in short batches
+		// between unbatched HandleEvent allocs and frees.
+		name: "heapchurn",
+		run: func(tbl *object.Table, em *trace.Emitter) {
+			g := tbl.AddGlobal("anchor", 256)
+			var r lcg = 7
+			for i := 0; i < 600; i++ {
+				xor := uint64(0xBEEF + i%4)
+				h := em.Malloc("h", 128+int64(i%3)*256, xor)
+				h2 := em.Malloc("h2", 512, 0xF00D) // concurrent with h
+				for j := 0; j < 4; j++ {
+					em.Load(h, int64(r.next()%120), 8)
+					em.Store(h2, int64(r.next()%496), 16)
+					em.Load(g, 0, 8)
+				}
+				em.Free(h)
+				em.Free(h2)
+			}
+		},
+	},
+}
+
+// recordShape records a synthetic shape as an in-memory trace. The header
+// is written from the table when the first event arrives, by which point
+// the shape has declared every global.
+func recordShape(tb testing.TB, sh shape) []byte {
+	tb.Helper()
+	tbl := object.NewTable(1024)
+	var buf bytes.Buffer
+	var tw *trace.Writer
+	em := trace.NewEmitter(tbl, trace.HandlerFunc(func(ev trace.Event) {
+		if tw == nil {
+			hdr := trace.FileHeader{StackSize: 1024}
+			tbl.ForEach(func(in *object.Info) {
+				if in.Category == object.Global {
+					hdr.Globals = append(hdr.Globals, trace.Decl{Name: in.Name, Size: in.Size})
+				}
+			})
+			var err error
+			if tw, err = trace.NewWriter(&buf, hdr, tbl); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		tw.HandleEvent(ev)
+	}))
+	sh.run(tbl, em)
+	em.Flush()
+	if err := tw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // builder is what the differential test drives: every profiler variant
 // plus the oracle consume a trace and finish into a profile.
 type builder interface {
@@ -113,21 +225,32 @@ func profileBytes(tb testing.TB, p *profile.Profile) []byte {
 var oracleCounters = []metrics.Counter{metrics.TRGWeight, metrics.TRGEdges, metrics.QueueEvictions}
 
 // TestKernelMatchesReference is the queue-step kernel's differential
-// gate: on every workload's train trace, across chunk sizes, queue
-// thresholds and time sampling, the sequential Profiler (fed events, and
-// fed enriched records as the sweep feeds it) and the sharded profiler at
-// 1, 2 and 4 shards, with the adaptive warmup disabled and forced to fan
-// out, must persist byte-identical profiles to the map-and-pointer
-// reference, report its TRG and eviction counters exactly, and report one
-// scan-length observation per reference scan with the same total length.
+// gate: on every workload's train trace and on three synthetic stream
+// shapes, across chunk sizes, queue thresholds and time sampling, the
+// Profiler — fed batched events, single events, and enriched records as
+// the sweep feeds it — must persist byte-identical profiles to the
+// map-and-pointer reference, report its TRG and eviction counters
+// exactly, and report one scan-length observation per reference scan with
+// the same total length.
 func TestKernelMatchesReference(t *testing.T) {
 	frac := 0.04
 	if testing.Short() || profile.RaceEnabled {
 		frac = 0.01
 	}
+	type input struct {
+		name   string
+		record func(t *testing.T) []byte
+	}
+	var inputs []input
 	for _, w := range workload.All() {
-		t.Run(w.Name(), func(t *testing.T) {
-			raw := recordTrain(t, w, frac)
+		inputs = append(inputs, input{w.Name(), func(t *testing.T) []byte { return recordTrain(t, w, frac) }})
+	}
+	for _, sh := range shapes {
+		inputs = append(inputs, input{sh.name, func(t *testing.T) []byte { return recordShape(t, sh) }})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			raw := in.record(t)
 			recs, _ := collectRecs(t, raw)
 			for _, chunk := range []int64{64, 256} {
 				for _, queue := range []int64{8 << 10, 32 << 10} {
@@ -145,6 +268,13 @@ func TestKernelMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// unbatched hides the Profiler's HandleBatch, so a replay delivers every
+// reference through HandleEvent.
+type unbatched struct{ p *profile.Profiler }
+
+func (u unbatched) HandleEvent(ev trace.Event) { u.p.HandleEvent(ev) }
+func (u unbatched) Finish() *profile.Profile   { return u.p.Finish() }
 
 func checkAgainstReference(t *testing.T, label string, cfg profile.Config, raw []byte, recs []profile.Rec) {
 	t.Helper()
@@ -177,6 +307,15 @@ func checkAgainstReference(t *testing.T, label string, cfg profile.Config, raw [
 				return p
 			})
 		}},
+		{"profiler/events", func(cfg profile.Config) *profile.Profile {
+			return replay(t, raw, func(objs *object.Table) builder {
+				p, err := profile.New(cfg, objs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return unbatched{p}
+			})
+		}},
 		{"profiler/recs", func(cfg profile.Config) *profile.Profile {
 			_, objs := collectRecs(t, raw)
 			p, err := profile.New(cfg, objs)
@@ -186,26 +325,6 @@ func checkAgainstReference(t *testing.T, label string, cfg profile.Config, raw [
 			feedRecs(p, recs)
 			return p.Finish()
 		}},
-	}
-	for _, shards := range []int{1, 2, 4} {
-		for _, warmup := range []int{-1, 64} {
-			shards, warmup := shards, warmup
-			variants = append(variants, variant{fmt.Sprintf("sharded=%d/warmup=%d", shards, warmup),
-				func(cfg profile.Config) *profile.Profile {
-					// A positive warmup with a vanishing hit-ratio bar
-					// always fans out, after replaying the warmup
-					// batches into the idle replicas.
-					cfg.AdaptiveWarmup = warmup
-					cfg.AdaptiveMinHitRatio = 1e-9
-					return replay(t, raw, func(objs *object.Table) builder {
-						s, err := profile.NewSharded(cfg, objs, shards, cfg.QueueThreshold/2)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return s
-					})
-				}})
-		}
 	}
 	for _, v := range variants {
 		vcfg := cfg

@@ -20,9 +20,10 @@
 // object; heap allocations map to one node per XOR call-stack name, because
 // that is the unit the custom allocator can steer.
 //
-// Two profilers produce identical output: the sequential Profiler here,
-// and the sharded parallel profiler in sharded.go that partitions the edge
-// scans — the dominant cost — across per-cache-set-group workers.
+// One Profiler builds the TRG, as the paper does: a single recency queue
+// over the ordered reference stream. The stream may arrive as events
+// (HandleEvent/HandleBatch) or as the sweep engine's enriched records
+// (HandleRecs); both produce identical output.
 package profile
 
 import (
@@ -53,29 +54,6 @@ type Config struct {
 	// always complete. Both zero = profile everything.
 	SampleWindow uint64
 	SamplePeriod uint64
-
-	// StreamDepth is the per-worker batch buffer of the sharded profiler's
-	// fan-out stream (0 = the default, 8). Trace-file replay raises it: the
-	// producer is I/O bound there, so a deeper buffer absorbs decode
-	// hiccups without stalling the shard workers. Runtime wiring only — it
-	// never affects results and is never serialized.
-	StreamDepth int `json:"-"`
-
-	// AdaptiveWarmup is how many recency-queue touches the sharded
-	// profiler processes inline while estimating the stream's hit ratio
-	// before deciding a shard count (0 = the default, 4096; negative
-	// disables the heuristic and fans out immediately). When the warmup
-	// window is miss-dominated — constant insert/evict churn, almost no
-	// queue hits and therefore almost no edge scans — the per-worker
-	// replica-queue bookkeeping outweighs the partitioned scans, and the
-	// profiler stays on one inline queue instead. Results are identical
-	// either way; only the schedule changes. Runtime wiring only.
-	AdaptiveWarmup int `json:"-"`
-
-	// AdaptiveMinHitRatio is the queue hit ratio (hits/touches over the
-	// warmup window) below which the sharded profiler falls back to one
-	// shard (0 = the default, 0.25). Runtime wiring only.
-	AdaptiveMinHitRatio float64 `json:"-"`
 
 	// Metrics receives recency-queue and TRG instrumentation (nil =
 	// disabled). It is runtime wiring, not a profiling parameter: it does
@@ -150,135 +128,19 @@ func (p *Profile) Node(id object.ID) trg.NodeID {
 	return p.NodeOf[id]
 }
 
-// binder is the Name-profile half of a profiling run: it resolves objects
-// to placement nodes and maintains node metadata. It is inherently serial
-// (node IDs are assigned in first-reference order) and is shared by the
-// sequential Profiler and the sharded profiler, both of which run it on
-// the event-delivery goroutine.
-type binder struct {
+// Profiler consumes the event stream and builds a Profile. It implements
+// trace.Handler and trace.BatchHandler. A run has two halves: the Name
+// profile (binding objects to placement nodes, in first-reference order,
+// and maintaining node metadata) and the recency queue whose scans build
+// the TRG.
+type Profiler struct {
+	cfg   Config
 	objs  *object.Table
 	graph *trg.Graph
 
 	nodeOf   []trg.NodeID
 	heapNode map[uint64]trg.NodeID
 	allocSeq int
-}
-
-func (b *binder) init(objs *object.Table, g *trg.Graph) {
-	b.objs = objs
-	b.graph = g
-	b.heapNode = make(map[uint64]trg.NodeID)
-}
-
-// nodeFor resolves (creating if needed) the placement node of object id.
-func (b *binder) nodeFor(id object.ID) trg.NodeID {
-	for int(id) >= len(b.nodeOf) {
-		b.nodeOf = append(b.nodeOf, trg.NoNode)
-	}
-	if nd := b.nodeOf[id]; nd != trg.NoNode {
-		return nd
-	}
-	return b.bind(id, b.objs.Get(id))
-}
-
-// nodeForInfo is nodeFor against a caller-supplied snapshot of the
-// object's table entry, for builders fed enriched records (HandleRecs)
-// instead of a live table: the decoder's table may have advanced past the
-// record being handled, so the record carries the fields binding reads.
-// Objects bind on their first appearance and every bound field is fixed
-// at table insertion, so the snapshot equals what nodeFor would read.
-func (b *binder) nodeForInfo(id object.ID, in *object.Info) trg.NodeID {
-	for int(id) >= len(b.nodeOf) {
-		b.nodeOf = append(b.nodeOf, trg.NoNode)
-	}
-	if nd := b.nodeOf[id]; nd != trg.NoNode {
-		return nd
-	}
-	return b.bind(id, in)
-}
-
-// bind creates the placement node for object id from its table entry.
-func (b *binder) bind(id object.ID, in *object.Info) trg.NodeID {
-	var nd trg.NodeID
-	if in.Category == object.Heap {
-		nd = b.heapNodeFor(in)
-	} else {
-		nd = b.graph.AddNode(trg.Node{
-			Category: in.Category,
-			Name:     in.Name,
-			Size:     in.Size,
-			Addr:     in.NaturalAddr,
-		})
-	}
-	b.nodeOf[id] = nd
-	return nd
-}
-
-func (b *binder) heapNodeFor(in *object.Info) trg.NodeID {
-	if nd, ok := b.heapNode[in.XORName]; ok {
-		n := b.graph.Node(nd)
-		if in.Size > n.Size {
-			n.Size = in.Size
-		}
-		return nd
-	}
-	nd := b.graph.AddNode(trg.Node{
-		Category:   object.Heap,
-		Name:       in.Name,
-		Size:       in.Size,
-		XORName:    in.XORName,
-		AllocOrder: b.allocSeq,
-	})
-	b.heapNode[in.XORName] = nd
-	return nd
-}
-
-func (b *binder) noteAlloc(id object.ID) {
-	in := b.objs.Get(id)
-	b.noteAllocInfo(id, in, b.objs.LiveWithXOR(in.XORName) > 1)
-}
-
-// noteAllocInfo is noteAlloc with the table reads hoisted to the caller:
-// the snapshot Info plus the live-XOR-collision fact as observed when the
-// Alloc was delivered (HandleRecs callers capture it at decode time, which
-// is the same stream position noteAlloc reads it at).
-func (b *binder) noteAllocInfo(id object.ID, in *object.Info, nonUnique bool) {
-	nd := b.nodeForInfo(id, in)
-	n := b.graph.Node(nd)
-	n.AllocCount++
-	b.allocSeq++
-	if nonUnique {
-		n.NonUniqueXOR = true
-	}
-}
-
-// finishProfile creates nodes for declared-but-unreferenced globals and
-// constants (they still need placement slots), settles the TRG counters
-// once from the symmetrized graph, computes popularity, and assembles the
-// completed profile.
-func (b *binder) finishProfile(cfg Config, refs uint64) *Profile {
-	b.objs.ForEach(func(in *object.Info) {
-		if in.Category == object.Global || in.Category == object.Constant {
-			b.nodeFor(in.ID)
-		}
-	})
-	cfg.Metrics.Add(metrics.TRGEdges, uint64(b.graph.NumEdges()))
-	cfg.Metrics.Add(metrics.TRGWeight, b.graph.TotalWeight())
-	b.graph.Finalize(cfg.PopularityCutoff)
-	return &Profile{
-		Config:    cfg,
-		Graph:     b.graph,
-		NodeOf:    b.nodeOf,
-		HeapNode:  b.heapNode,
-		TotalRefs: refs,
-	}
-}
-
-// Profiler consumes the event stream and builds a Profile. It implements
-// trace.Handler.
-type Profiler struct {
-	cfg Config
-	binder
 
 	q    recencyQueue
 	refs uint64
@@ -289,10 +151,96 @@ func New(cfg Config, objs *object.Table) (*Profiler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Profiler{cfg: cfg}
-	p.binder.init(objs, trg.NewGraph(cfg.ChunkSize))
+	p := &Profiler{
+		cfg:      cfg,
+		objs:     objs,
+		graph:    trg.NewGraph(cfg.ChunkSize),
+		heapNode: make(map[uint64]trg.NodeID),
+	}
 	p.q.init(cfg.QueueThreshold)
 	return p, nil
+}
+
+// nodeFor resolves (creating if needed) the placement node of object id.
+func (p *Profiler) nodeFor(id object.ID) trg.NodeID {
+	for int(id) >= len(p.nodeOf) {
+		p.nodeOf = append(p.nodeOf, trg.NoNode)
+	}
+	if nd := p.nodeOf[id]; nd != trg.NoNode {
+		return nd
+	}
+	return p.bind(id, p.objs.Get(id))
+}
+
+// nodeForInfo is nodeFor against a caller-supplied snapshot of the
+// object's table entry, for a profiler fed enriched records (HandleRecs)
+// instead of a live table: the decoder's table may have advanced past the
+// record being handled, so the record carries the fields binding reads.
+// Objects bind on their first appearance and every bound field is fixed
+// at table insertion, so the snapshot equals what nodeFor would read.
+func (p *Profiler) nodeForInfo(id object.ID, in *object.Info) trg.NodeID {
+	for int(id) >= len(p.nodeOf) {
+		p.nodeOf = append(p.nodeOf, trg.NoNode)
+	}
+	if nd := p.nodeOf[id]; nd != trg.NoNode {
+		return nd
+	}
+	return p.bind(id, in)
+}
+
+// bind creates the placement node for object id from its table entry.
+func (p *Profiler) bind(id object.ID, in *object.Info) trg.NodeID {
+	var nd trg.NodeID
+	if in.Category == object.Heap {
+		nd = p.heapNodeFor(in)
+	} else {
+		nd = p.graph.AddNode(trg.Node{
+			Category: in.Category,
+			Name:     in.Name,
+			Size:     in.Size,
+			Addr:     in.NaturalAddr,
+		})
+	}
+	p.nodeOf[id] = nd
+	return nd
+}
+
+func (p *Profiler) heapNodeFor(in *object.Info) trg.NodeID {
+	if nd, ok := p.heapNode[in.XORName]; ok {
+		n := p.graph.Node(nd)
+		if in.Size > n.Size {
+			n.Size = in.Size
+		}
+		return nd
+	}
+	nd := p.graph.AddNode(trg.Node{
+		Category:   object.Heap,
+		Name:       in.Name,
+		Size:       in.Size,
+		XORName:    in.XORName,
+		AllocOrder: p.allocSeq,
+	})
+	p.heapNode[in.XORName] = nd
+	return nd
+}
+
+func (p *Profiler) noteAlloc(id object.ID) {
+	in := p.objs.Get(id)
+	p.noteAllocInfo(id, in, p.objs.LiveWithXOR(in.XORName) > 1)
+}
+
+// noteAllocInfo is noteAlloc with the table reads hoisted to the caller:
+// the snapshot Info plus the live-XOR-collision fact as observed when the
+// Alloc was delivered (HandleRecs callers capture it at decode time, which
+// is the same stream position noteAlloc reads it at).
+func (p *Profiler) noteAllocInfo(id object.ID, in *object.Info, nonUnique bool) {
+	nd := p.nodeForInfo(id, in)
+	n := p.graph.Node(nd)
+	n.AllocCount++
+	p.allocSeq++
+	if nonUnique {
+		n.NonUniqueXOR = true
+	}
 }
 
 // HandleEvent implements trace.Handler.
@@ -345,7 +293,7 @@ func (p *Profiler) HandleBatch(evs []trace.Event) {
 		}
 		p.refs = refs
 	}
-	p.q.flush(p.cfg.Metrics, true)
+	p.q.flush(p.cfg.Metrics)
 }
 
 // touchRange feeds every chunk covered by [off, off+size) through the
@@ -366,14 +314,31 @@ func (p *Profiler) touchRange(nd trg.NodeID, off, size int64) {
 		if clen <= 0 {
 			clen = 1
 		}
-		p.q.touch(trg.MakeChunkKey(nd, int(c)), clen, chunks, true)
+		p.q.touch(trg.MakeChunkKey(nd, int(c)), clen, chunks)
 	}
 }
 
-// Finish sums the queue's half-edges into the symmetric graph, completes
-// the profile and returns it.
+// Finish sums the queue's half-edges into the symmetric graph, creates
+// nodes for declared-but-unreferenced globals and constants (they still
+// need placement slots), settles the TRG counters once from the
+// symmetrized graph, computes popularity, and returns the completed
+// profile.
 func (p *Profiler) Finish() *Profile {
-	p.q.flush(p.cfg.Metrics, true)
+	p.q.flush(p.cfg.Metrics)
 	p.graph.AddHalves(&p.q.acc)
-	return p.finishProfile(p.cfg, p.refs)
+	p.objs.ForEach(func(in *object.Info) {
+		if in.Category == object.Global || in.Category == object.Constant {
+			p.nodeFor(in.ID)
+		}
+	})
+	p.cfg.Metrics.Add(metrics.TRGEdges, uint64(p.graph.NumEdges()))
+	p.cfg.Metrics.Add(metrics.TRGWeight, p.graph.TotalWeight())
+	p.graph.Finalize(p.cfg.PopularityCutoff)
+	return &Profile{
+		Config:    p.cfg,
+		Graph:     p.graph,
+		NodeOf:    p.nodeOf,
+		HeapNode:  p.heapNode,
+		TotalRefs: p.refs,
+	}
 }

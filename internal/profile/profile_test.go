@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/object"
@@ -331,5 +332,57 @@ func TestHugeObjectIndexGrowsWithTouches(t *testing.T) {
 	}
 	if w := prof.Graph.Weight(trg.MakeChunkKey(nd, 0), trg.MakeChunkKey(prof.Node(b), 0)); w != 1 {
 		t.Fatalf("edge weight %d, want 1", w)
+	}
+}
+
+// TestQueueFreeListNoAllocs pins the free-list recycling of queue entries:
+// once the queue has warmed past its threshold, the insert/evict churn must
+// reuse entries instead of allocating.
+func TestQueueFreeListNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var q recencyQueue
+	q.init(1024)
+	keys := make([]trg.ChunkKey, 64)
+	for i := range keys {
+		keys[i] = trg.MakeChunkKey(trg.NodeID(i), 0)
+	}
+	for _, k := range keys { // warm: fill past threshold, build free list
+		q.touch(k, 256, 1)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(1000, func() {
+		k := keys[i%len(keys)]
+		i++
+		q.touch(k, 256, 1) // a miss evicts one and recycles its slot
+	})
+	if avg != 0 {
+		t.Fatalf("queue churn allocates %v per op, want 0", avg)
+	}
+}
+
+// TestHandleBatchSteadyStateAllocs pins the specialized batch touch path:
+// with nodes bound and edges materialized, a batch of loads must not
+// allocate.
+func TestHandleBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tbl := object.NewTable(64)
+	p, err := New(smallConfig(), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	for i := 0; i < 8; i++ {
+		id := tbl.AddGlobal(fmt.Sprintf("g%d", i), 64)
+		evs = append(evs, trace.Event{Kind: trace.Load, Obj: id, Off: 0, Size: 8})
+	}
+	p.HandleBatch(evs) // warm: bind nodes, materialize edges
+	p.HandleBatch(evs)
+	avg := testing.AllocsPerRun(200, func() { p.HandleBatch(evs) })
+	if avg != 0 {
+		t.Fatalf("steady-state HandleBatch allocates %v per batch, want 0", avg)
 	}
 }

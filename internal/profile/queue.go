@@ -9,9 +9,7 @@ import (
 // paper's Q (section 3.2), a move-to-front list of the most recently
 // touched chunks capped at threshold total bytes, fused with the TRG
 // half-edges its scans produce. It is the single mutable structure of a
-// profiling run; the sequential Profiler owns one, and each worker of the
-// sharded profiler owns a replica fed the same touch stream (see
-// sharded.go). Three choices keep a touch cheap:
+// profiling run, owned by the Profiler. Three choices keep a touch cheap:
 //
 //   - Dense chunk index. Chunk keys are node-major and bounded by the
 //     node's chunk count, so rows[node][chunk] locates a chunk's queue
@@ -80,31 +78,27 @@ func (q *recencyQueue) init(threshold int64) {
 
 // touch is the TRG queue step of section 3.2 for chunk key of size bytes
 // (chunks is the index row size for the key's node, from rowHint). When key
-// is queued and scan is set, every chunk touched since key's last touch —
-// the entries ahead of it, its reuse window — gains one on the half-edge
-// from key. Entries that fell off the end of the queue would have been
-// evicted by capacity anyway, so no relationship is recorded for them.
-// It reports whether key was queued (a hit).
-func (q *recencyQueue) touch(key trg.ChunkKey, size int64, chunks int32, scan bool) bool {
+// is queued, every chunk touched since key's last touch — the entries
+// ahead of it, its reuse window — gains one on the half-edge from key.
+// Entries that fell off the end of the queue would have been evicted by
+// capacity anyway, so no relationship is recorded for them.
+func (q *recencyQueue) touch(key trg.ChunkKey, size int64, chunks int32) {
 	c := q.cell(key, chunks)
 	s := c.slot - 1
 	if s < 0 {
 		q.insert(c, key, size)
-		return false
+		return
 	}
-	if scan {
-		var n uint64
-		if s != q.head {
-			hl := q.listOf(c, key)
-			for x := q.head; x != s; x = q.ents[x].next {
-				hl.Inc(q.ents[x].key)
-				n++
-			}
+	var n uint64
+	if s != q.head {
+		hl := q.listOf(c, key)
+		for x := q.head; x != s; x = q.ents[x].next {
+			hl.Inc(q.ents[x].key)
+			n++
 		}
-		q.scanLen.Observe(n)
 	}
+	q.scanLen.Observe(n)
 	q.moveToFront(s)
-	return true
 }
 
 // listOf returns the half-edge list of key, whose index cell is c,
@@ -202,16 +196,11 @@ func (q *recencyQueue) moveToFront(s int32) {
 }
 
 // flush publishes the queue's instrumentation, once per batch: the
-// scan-length buckets of the scans this queue ran and, on the primary
-// replica (the one that speaks for the queue, so counts equal a
-// sequential run's), the eviction count and an occupancy sample — fine-
-// grained enough to sketch the distribution, far off the per-reference
-// path.
-func (q *recencyQueue) flush(mc *metrics.Collector, primary bool) {
+// scan-length buckets of the scans it ran, the eviction count and an
+// occupancy sample — fine-grained enough to sketch the distribution, far
+// off the per-reference path.
+func (q *recencyQueue) flush(mc *metrics.Collector) {
 	mc.FlushHist(metrics.HistScanLen, &q.scanLen)
-	if !primary {
-		return
-	}
 	mc.Observe(metrics.HistQueueOccupancy, uint64(q.bytes))
 	if q.evictions != 0 {
 		mc.Add(metrics.QueueEvictions, q.evictions)

@@ -8,7 +8,7 @@ import (
 // Rec is one decoded, enriched trace record for the sweep engine's
 // decode-once multi-profile broadcast: the decoder replays the train trace
 // once, snapshots the object-table facts each profiler would read, and
-// fans the records out to N concurrent builders. A builder consuming Recs
+// fans the records out to N concurrent profilers. A profiler consuming Recs
 // never touches the (single, mutating) decoder-side object table, which is
 // what makes the concurrent fan-out safe — and because every snapshotted
 // field is fixed at table insertion and objects bind on first appearance,
@@ -53,34 +53,5 @@ func (p *Profiler) HandleRecs(recs []Rec) {
 			p.noteAllocInfo(r.Obj, r.Info, r.NonUnique)
 		}
 	}
-	p.q.flush(p.cfg.Metrics, true)
-}
-
-// HandleRecs is the sharded profiler's broadcast entry point: the serial
-// prefix (binding, reference counts, sampling, chunk expansion) runs on
-// the calling goroutine exactly as HandleBatch does, and the accumulated
-// touch buffer is dispatched once per call. Batch boundaries only change
-// the schedule (including where the adaptive warmup decision lands), never
-// the output — every mode is exact.
-func (s *Sharded) HandleRecs(recs []Rec) {
-	b := s.grab()
-	ts := b.touches[:0]
-	period, window := s.cfg.SamplePeriod, s.cfg.SampleWindow
-	for i := range recs {
-		r := &recs[i]
-		switch r.Kind {
-		case trace.Load, trace.Store:
-			s.refs++
-			nd := s.nodeForInfo(r.Obj, r.Info)
-			s.graph.Node(nd).Refs++
-			if period > 0 && s.refs%period >= window {
-				continue
-			}
-			ts = s.appendTouches(ts, nd, r.Off, r.Size)
-		case trace.Alloc:
-			s.noteAllocInfo(r.Obj, r.Info, r.NonUnique)
-		}
-	}
-	b.touches = ts
-	s.dispatch(b)
+	p.q.flush(p.cfg.Metrics)
 }

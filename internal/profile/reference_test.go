@@ -17,15 +17,16 @@ const RaceEnabled = raceEnabled
 // entry ahead of a hit, counted into the metrics as it happens. Events
 // arrive one at a time through HandleEvent. It is exported to the
 // package's external tests (oracle_test.go), which drive it over
-// recorded traces next to the Profiler and Sharded.
+// recorded traces next to the Profiler. Binding and finishing are the
+// Profiler's own, run by a private Profiler whose queue stays empty: only
+// the TRG builder is replaced.
 type Reference struct {
 	cfg Config
-	binder
+	p   *Profiler
 
 	entries    map[trg.ChunkKey]*refEntry
 	head, tail *refEntry
 	bytes      int64
-	refs       uint64
 
 	// Scans and ScanSteps count the hits that scanned and the entries
 	// they walked, for checking the kernel's scan-length histogram.
@@ -43,20 +44,26 @@ func NewReference(cfg Config, objs *object.Table) (*Reference, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Reference{cfg: cfg, entries: make(map[trg.ChunkKey]*refEntry)}
-	r.binder.init(objs, trg.NewGraph(cfg.ChunkSize))
-	return r, nil
+	// The private Profiler reports no metrics: the reference counts its
+	// TRG edges as they form, so Finish must not settle them again.
+	pcfg := cfg
+	pcfg.Metrics = nil
+	p, err := New(pcfg, objs)
+	if err != nil {
+		return nil, err
+	}
+	return &Reference{cfg: cfg, p: p, entries: make(map[trg.ChunkKey]*refEntry)}, nil
 }
 
 // HandleEvent implements trace.Handler.
 func (r *Reference) HandleEvent(ev trace.Event) {
 	switch ev.Kind {
 	case trace.Load, trace.Store:
-		r.refs++
-		nd := r.nodeFor(ev.Obj)
-		n := r.graph.Node(nd)
+		r.p.refs++
+		nd := r.p.nodeFor(ev.Obj)
+		n := r.p.graph.Node(nd)
 		n.Refs++
-		if r.cfg.SamplePeriod > 0 && r.refs%r.cfg.SamplePeriod >= r.cfg.SampleWindow {
+		if r.cfg.SamplePeriod > 0 && r.p.refs%r.cfg.SamplePeriod >= r.cfg.SampleWindow {
 			return
 		}
 		size := ev.Size
@@ -74,7 +81,7 @@ func (r *Reference) HandleEvent(ev trace.Event) {
 			r.touch(trg.MakeChunkKey(nd, int(c)), clen)
 		}
 	case trace.Alloc:
-		r.noteAlloc(ev.Obj)
+		r.p.noteAlloc(ev.Obj)
 	}
 }
 
@@ -84,10 +91,10 @@ func (r *Reference) touch(key trg.ChunkKey, size int64) {
 		r.Scans++
 		for x := r.head; x != e; x = x.next {
 			r.ScanSteps++
-			if r.graph.Weight(key, x.key) == 0 {
+			if r.p.graph.Weight(key, x.key) == 0 {
 				mc.Add(metrics.TRGEdges, 1)
 			}
-			r.graph.AddWeight(key, x.key, 1)
+			r.p.graph.AddWeight(key, x.key, 1)
 			mc.Add(metrics.TRGWeight, 1)
 		}
 		r.unlink(e)
@@ -132,11 +139,5 @@ func (r *Reference) unlink(e *refEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// Finish completes and returns the profile. The TRG counters were
-// counted as the edges formed, so unlike the kernel's Finish nothing is
-// settled here.
-func (r *Reference) Finish() *Profile {
-	cfg := r.cfg
-	cfg.Metrics = nil
-	return r.finishProfile(cfg, r.refs)
-}
+// Finish completes and returns the profile.
+func (r *Reference) Finish() *Profile { return r.p.Finish() }

@@ -53,12 +53,13 @@ type Options struct {
 
 	// Parallelism bounds how many independent pipeline units run
 	// concurrently: evaluation passes inside core.Run, whole workloads
-	// inside benchsuite, and the per-cache-set shard workers of the
-	// profiling pass's TRG build. Values <= 1 run sequentially; 0 is
-	// the conservative sequential default so existing callers are
-	// unchanged. Results are bit-identical at any setting — every pass
-	// is deterministic and shares only read-only state (see DESIGN.md,
-	// "Concurrency model").
+	// inside benchsuite, and layout groups and profile builders inside a
+	// sweep. One profiling pass is always sequential, as in the paper: a
+	// single recency queue over the ordered reference stream. Values <= 1
+	// run sequentially; 0 is the conservative sequential default so
+	// existing callers are unchanged. Results are bit-identical at any
+	// setting — every pass is deterministic and shares only read-only
+	// state (see DESIGN.md, "Concurrency model").
 	Parallelism int
 
 	// Metrics receives pipeline-wide instrumentation: trace event counts,
@@ -144,17 +145,8 @@ type ProfileResult struct {
 	Objects *object.Table
 }
 
-// profiler is the common face of the sequential and sharded profilers.
-type profiler interface {
-	trace.BatchHandler
-	Finish() *profile.Profile
-}
-
 // ProfileFrom runs the profiling pass over any event source — the live
-// model or a trace replay. When the source is a replay and the config does
-// not say otherwise, the sharded profiler's fan-out buffers deepen to
-// ReplayStreamDepth so the I/O-bound decoder still feeds the shard workers
-// at full rate.
+// model or a trace replay.
 func ProfileFrom(src EventStream, opts Options) (*ProfileResult, error) {
 	span := opts.Metrics.Start(metrics.StageProfile)
 	defer span.Stop()
@@ -163,26 +155,12 @@ func ProfileFrom(src EventStream, opts Options) (*ProfileResult, error) {
 	table := src.Objects()
 	cfg := opts.Profile
 	cfg.Metrics = opts.Metrics
-	if src.Replayed() && cfg.StreamDepth == 0 {
-		cfg.StreamDepth = ReplayStreamDepth
-	}
-	var prof profiler
-	if opts.Parallelism > 1 {
-		sp, err := profile.NewSharded(cfg, table, opts.Parallelism, opts.Cache.Size)
-		if err != nil {
-			return nil, err
-		}
-		prof = sp
-	} else {
-		p, err := profile.New(cfg, table)
-		if err != nil {
-			return nil, err
-		}
-		prof = p
+	prof, err := profile.New(cfg, table)
+	if err != nil {
+		return nil, err
 	}
 	counter := trace.NewCounter(table)
 	if err := src.Drive(counter, prof); err != nil {
-		prof.Finish() // drain the shard workers; a failed replay must not leak them
 		return nil, err
 	}
 	return &ProfileResult{Profile: prof.Finish(), Counter: counter, Objects: table}, nil

@@ -23,9 +23,6 @@ type EventStream interface {
 	Objects() *object.Table
 	// Drive delivers the full event stream to the handlers, in order.
 	Drive(hs ...trace.Handler) error
-	// Replayed reports whether the stream decodes a trace file (an
-	// I/O-bound producer) rather than running the model live.
-	Replayed() bool
 	// Close releases the stream's underlying resources. Drive closes a
 	// replay stream on completion; Close covers the error paths before
 	// that. It is idempotent.
@@ -53,7 +50,6 @@ func Live(w workload.Workload, in workload.Input, opts Options) EventStream {
 }
 
 func (ls *liveStream) Objects() *object.Table { return ls.objs }
-func (ls *liveStream) Replayed() bool         { return false }
 func (ls *liveStream) Close() error           { return nil }
 
 func (ls *liveStream) Drive(hs ...trace.Handler) error {
@@ -65,15 +61,8 @@ func (ls *liveStream) Drive(hs ...trace.Handler) error {
 
 // ReplayBufferSize is the decode window of a trace replay: deep enough
 // that store reads happen in large, infrequent slabs while the decoder and
-// the downstream handlers (the sharded profiler's fan-out in particular)
-// stay busy in between.
+// the downstream handlers stay busy in between.
 const ReplayBufferSize = 1 << 20
-
-// ReplayStreamDepth is the sharded profiler's per-worker batch buffer when
-// the producer is trace replay: the decoder stalls on I/O in bursts, so a
-// deeper pipeline (versus the live default of 8) keeps the shard workers
-// fed across those bursts. Schedule-only; results are unaffected.
-const ReplayStreamDepth = 64
 
 // replayStream decodes a recorded trace file.
 type replayStream struct {
@@ -99,7 +88,6 @@ func OpenReplay(r io.Reader, opts Options) (EventStream, error) {
 }
 
 func (rs *replayStream) Objects() *object.Table { return rs.tr.Objects() }
-func (rs *replayStream) Replayed() bool         { return true }
 
 func (rs *replayStream) Close() error {
 	if rs.closer == nil {

@@ -58,8 +58,8 @@ func TestTraceKeyDistinct(t *testing.T) {
 }
 
 // TestTraceStoreOpenRoundTrip drives Open twice: the first records (a
-// store miss), the second replays (a hit), and both streams must report
-// replayed-vs-live consistently with the rest of the pipeline.
+// store miss), the second replays (a hit), and both streams must deliver
+// the live run's references.
 func TestTraceStoreOpenRoundTrip(t *testing.T) {
 	w, err := workload.Get("espresso")
 	if err != nil {
@@ -76,9 +76,6 @@ func TestTraceStoreOpenRoundTrip(t *testing.T) {
 		src, err := ts.Open(in, opts)
 		if err != nil {
 			t.Fatalf("%s: Open: %v", pass, err)
-		}
-		if !src.Replayed() {
-			t.Fatalf("%s: stream not marked replayed", pass)
 		}
 		refs, err := CountRefsFrom(src)
 		if err != nil {

@@ -455,13 +455,12 @@ func (c *profCollector) add(ev trace.Event) {
 }
 
 // broadcastProfiles builds every demanded profile config in one decode of
-// the train trace: one profile.Sharded builder per key (each with its
-// replica-queue decomposition scaled to the worker budget) consumes the
-// broadcast record stream concurrently. Output is byte-identical to
-// independent ProfileFrom passes — bindings happen at first appearance
-// over snapshots of insertion-fixed fields, so each builder sees exactly
-// what a private replay would have shown it.
-func (p *Prep) broadcastProfiles(keys []string, optsFor map[string]sim.Options, parallel int) (map[string]*sim.ProfileResult, error) {
+// the train trace: one profile.Profiler per key consumes the broadcast
+// record stream concurrently. Output is byte-identical to independent
+// ProfileFrom passes — bindings happen at first appearance over snapshots
+// of insertion-fixed fields, so each profiler sees exactly what a private
+// replay would have shown it.
+func (p *Prep) broadcastProfiles(keys []string, optsFor map[string]sim.Options) (map[string]*sim.ProfileResult, error) {
 	out := make(map[string]*sim.ProfileResult, len(keys))
 	if len(keys) == 0 {
 		return out, nil
@@ -474,19 +473,11 @@ func (p *Prep) broadcastProfiles(keys []string, optsFor map[string]sim.Options, 
 	table := src.Objects()
 	counter := trace.NewCounter(table)
 
-	inner := parallel / len(keys)
-	if inner < 1 {
-		inner = 1
-	}
-	builders := make([]*profile.Sharded, len(keys))
+	builders := make([]*profile.Profiler, len(keys))
 	for i, k := range keys {
-		co := optsFor[k]
-		cfg := co.Profile
+		cfg := optsFor[k].Profile
 		cfg.Metrics = p.req.Options.Metrics
-		if src.Replayed() && cfg.StreamDepth == 0 {
-			cfg.StreamDepth = sim.ReplayStreamDepth
-		}
-		b, err := profile.NewSharded(cfg, table, inner, co.Cache.Size)
+		b, err := profile.New(cfg, table)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: profile %s: %w", k, err)
 		}
@@ -499,15 +490,11 @@ func (p *Prep) broadcastProfiles(keys []string, optsFor map[string]sim.Options, 
 	driveErr := src.Drive(&profCollector{objs: table, counter: counter, out: bc})
 	bc.Flush()
 	bc.Close()
-	for i, k := range keys {
-		// Finish even on error so the builders drain.
-		prof := builders[i].Finish()
-		if driveErr == nil {
-			out[k] = &sim.ProfileResult{Profile: prof, Counter: counter, Objects: table}
-		}
-	}
 	if driveErr != nil {
 		return nil, fmt.Errorf("sweep: profiling: %w", driveErr)
+	}
+	for i, k := range keys {
+		out[k] = &sim.ProfileResult{Profile: builders[i].Finish(), Counter: counter, Objects: table}
 	}
 	return out, nil
 }
@@ -661,7 +648,7 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*sim.Group, []*
 	acct.broadcast = len(profKeys)
 	acct.deduped = demand - len(profKeys)
 
-	profiles, err := p.broadcastProfiles(profKeys, optsFor, parallel)
+	profiles, err := p.broadcastProfiles(profKeys, optsFor)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -159,8 +159,7 @@ func TestSharedMatchesEvalFromTrace(t *testing.T) {
 // TestBroadcastMatchesProfileFrom is the multi-profile differential
 // gate: the decode-once broadcast pass must produce, for every demanded
 // (chunk, queue) shape, a profile whose persisted bytes are identical to
-// a sequential ProfileFrom replay of the same train trace — at stream
-// parallelism 1 and 4.
+// a sequential ProfileFrom replay of the same train trace.
 func TestBroadcastMatchesProfileFrom(t *testing.T) {
 	g := Grid{
 		Chunks:  []int64{128, 256, 512},
@@ -204,20 +203,18 @@ func TestBroadcastMatchesProfileFrom(t *testing.T) {
 		want[k] = buf.Bytes()
 	}
 
-	for _, par := range []int{1, 4} {
-		got, err := p.broadcastProfiles(keys, optsFor, par)
-		if err != nil {
-			t.Fatalf("parallel %d: %v", par, err)
+	got, err := p.broadcastProfiles(keys, optsFor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		var buf bytes.Buffer
+		if err := persist.WriteProfile(&buf, got[k].Profile); err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range keys {
-			var buf bytes.Buffer
-			if err := persist.WriteProfile(&buf, got[k].Profile); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want[k]) {
-				t.Fatalf("parallel %d: profile %s diverged from sequential ProfileFrom (%d vs %d bytes)",
-					par, k, buf.Len(), len(want[k]))
-			}
+		if !bytes.Equal(buf.Bytes(), want[k]) {
+			t.Fatalf("profile %s diverged from sequential ProfileFrom (%d vs %d bytes)",
+				k, buf.Len(), len(want[k]))
 		}
 	}
 }

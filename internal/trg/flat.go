@@ -157,8 +157,7 @@ func (e *edgeList) forEach(fn func(to ChunkKey, w uint64)) {
 // counts its own half: it resolves the touched chunk's list once
 // (NewList/List, addressed by a dense handle the caller keeps) and
 // increments it for every chunk ahead. Graph.AddHalves sums the halves
-// into the symmetric graph once, at the end of the pass. Shard workers
-// each own one; symmetrizing them in turn merges them.
+// into the symmetric graph once, at the end of the pass.
 type HalfEdges struct {
 	lists []HalfList
 }
@@ -168,12 +167,6 @@ type HalfList struct{ l edgeList }
 
 // Inc counts one occurrence of `to` in the list owner's reuse window.
 func (h *HalfList) Inc(to ChunkKey) { h.l.add(to, 1) }
-
-// Absorb adds src's counts to h and empties src.
-func (h *HalfList) Absorb(src *HalfList) {
-	src.l.forEach(func(to ChunkKey, w uint64) { h.l.add(to, w) })
-	src.l = edgeList{from: src.l.from}
-}
 
 // NewList appends an empty list for chunk key from and returns its
 // handle. Each key needs at most one list.
@@ -185,13 +178,6 @@ func (h *HalfEdges) NewList(from ChunkKey) int32 {
 // List returns the list behind handle i. The pointer is invalidated by
 // the next NewList.
 func (h *HalfEdges) List(i int32) *HalfList { return &h.lists[i] }
-
-// ForEachList calls fn for every list in creation order, with its key.
-func (h *HalfEdges) ForEachList(fn func(from ChunkKey, l *HalfList)) {
-	for i := range h.lists {
-		fn(h.lists[i].l.from, &h.lists[i])
-	}
-}
 
 // NumHalfEdges returns the number of distinct directed half-edges.
 func (h *HalfEdges) NumHalfEdges() int {

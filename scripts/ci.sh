@@ -31,9 +31,12 @@ echo "==> benchmark module checks"
 (cd perfbench && go vet ./... && go test ./...)
 
 echo "==> micro-benchmark smoke"
-# Keeps the profiler-kernel and edge-accumulation benchmarks compiling
-# and running (100 iterations: a smoke run, not a measurement).
+# Keeps the per-layer benchmarks compiling and running: profiler kernel
+# and edge accumulation, trace replay and batched emission, and the
+# cache's block touch (100 iterations: a smoke run, not a measurement).
 go test -run=NONE -bench='HandleBatch|ProfileTrain|AddWeight' -benchtime=100x ./internal/profile ./internal/trg
+go test -run=NONE -bench='^Benchmark(Replay|EmitBatched)$' -benchtime=100x ./internal/trace
+go test -run=NONE -bench='^BenchmarkTouchBlock$' -benchtime=100x ./internal/cache
 
 # CI additionally runs the build-test job on a go-version matrix
 # (1.22.x, 1.23.x); locally you test whatever toolchain is installed.
@@ -46,6 +49,8 @@ else
 fi
 
 if [ "${1:-}" != "fast" ]; then
+    # The profiler stays in the race list: the sweep runs one profiler
+    # per config concurrently off a single broadcast decode.
     echo "==> race (exec, profile, core, sim, sweep, store, trace, metrics, benchsuite, ledger, telemetry, server)"
     go test -race ./internal/exec/... ./internal/profile/... ./internal/core/... ./internal/sim/... ./internal/sweep/... ./internal/store/... ./internal/trace/... ./internal/metrics/... ./internal/benchsuite/... ./internal/ledger/... ./internal/telemetry/... ./internal/server/...
 
